@@ -47,8 +47,9 @@ def pmse_log(theta_hat: np.ndarray, test: Dataset) -> float:
         raise DimensionMismatchError(
             f"theta is {theta_hat.shape} but the test set needs ({test.p}, {test.m})"
         )
-    resid = test.Y - test.X @ theta_hat
-    err = float(np.mean(resid**2))
+    resid = test.X @ theta_hat
+    np.subtract(test.Y, resid, out=resid)
+    err = float(np.mean(np.square(resid, out=resid)))
     return float("-inf") if err == 0.0 else float(np.log(err))
 
 
@@ -147,27 +148,30 @@ class ExperimentReport:
     records: tuple[CellResult, ...]
     aggregates: tuple[AggregateRow, ...]
 
-    def mean_sse_log(self, value: float, method: str) -> float | None:
+    def _row(self, value: float, method: str) -> AggregateRow:
         for row in self.aggregates:
             if row.sweep_value == value and row.method == method:
-                return row.mean_sse_log
+                return row
         raise KeyError((value, method))
 
+    def mean_sse_log(self, value: float, method: str) -> float | None:
+        return self._row(value, method).mean_sse_log
+
     def mean_pmse_log(self, value: float, method: str) -> float | None:
-        for row in self.aggregates:
-            if row.sweep_value == value and row.method == method:
-                return row.mean_pmse_log
-        raise KeyError((value, method))
+        return self._row(value, method).mean_pmse_log
 
     def failure_count(self) -> int:
         return sum(1 for rec in self.records if rec.error is not None)
 
 
 def _aggregate(sweep_param: str, records: list[CellResult], grid: ExperimentGrid) -> ExperimentReport:
+    cells: dict[tuple[float, str], list[CellResult]] = {}
+    for rec in records:
+        cells.setdefault((rec.sweep_value, rec.method), []).append(rec)
     rows = []
     for value in grid.sweep_values:
         for method in grid.methods:
-            cell = [r for r in records if r.sweep_value == value and r.method == method]
+            cell = cells.get((value, method), [])
             ok = [r for r in cell if r.error is None]
             mean_sse, se_sse = _mean_se([r.sse_log for r in ok])
             mean_pmse, se_pmse = _mean_se([r.pmse_log for r in ok])

@@ -37,6 +37,14 @@ def _check_rank_budget(dataset: Dataset, k: int) -> None:
         )
 
 
+def _interaction_surfaces(dataset: Dataset) -> list[np.ndarray]:
+    """Steps 1-3 of the interaction model: [phi_B, phi_C(0), ..., phi_C(p-1)]."""
+    with _stage(1, "interaction regression"):
+        first = regress.fit_first_stage(dataset)
+    with _stage(3, "covariance regression"):
+        return regress.fit_diagonal_surfaces(first, dataset.X)
+
+
 def _interaction_projection(
     dataset: Dataset, k: int, n_iter: int | None
 ) -> ProjectionBasis:
@@ -46,20 +54,14 @@ def _interaction_projection(
     routes the B surface through the diagonal-imputation iteration
     instead (the C_j blocks always use plain eigenvectors).
     """
-    with _stage(1, "interaction regression"):
-        first = regress.fit_first_stage(dataset)
-    with _stage(3, "covariance regression"):
-        cov = regress.fit_covariance_regression(first, dataset.X)
+    phi_b, *phi_c = _interaction_surfaces(dataset)
     with _stage(4, "eigenspace extraction"):
         if n_iter is None:
-            u_b, _ = spectral.top_k_eigenvectors(cov.phi_B, k, source="phi_B")
+            u_b, _ = spectral.top_k_eigenvectors(phi_b, k, source="phi_B")
         else:
-            u_b = spectral.hetero_pca(cov.phi_B, k, n_iter)
-        blocks = [u_b]
-        for j in range(dataset.p):
-            u_c, _ = spectral.top_k_eigenvectors(cov.phi_C(j), k, source=f"phi_C[{j}]")
-            blocks.append(u_c)
-        return spectral.build_projection(blocks)
+            u_b = spectral.hetero_pca(phi_b, k, n_iter)
+        u_c = [spectral.top_k_eigenvectors(s, k, source=f"phi_C[{j}]")[0] for j, s in enumerate(phi_c)]
+        return spectral.build_projection([u_b] + u_c)
 
 
 def fit_homoscedastic(dataset: Dataset, k: int) -> DebiasedEstimate:
@@ -92,11 +94,8 @@ def fit_heteroscedastic(dataset: Dataset, k: int, n_iter: int = DEFAULT_N_ITER) 
 
 
 def fit_ols_baseline(dataset: Dataset) -> DebiasedEstimate:
-    """Plain least squares of Y on X, ignoring hidden variables."""
-    if dataset.n <= dataset.p:
-        raise NumericalError(f"need n > p: n = {dataset.n}, p = {dataset.p}")
-    theta = regress.least_squares(dataset.X, dataset.Y)
-    return DebiasedEstimate(theta=theta, method="ols")
+    """Plain least squares of Y on X, ignoring hidden variables: the empty projection."""
+    return regress.fit_projected_ols(dataset, ProjectionBasis.empty(dataset.m))
 
 
 def oracle_basis(truth: GroundTruth) -> ProjectionBasis:
@@ -142,10 +141,7 @@ def fit_non_interaction(
         raise NumericalError(f"k = {k} exceeds m = {dataset.m}")
     if dataset.n <= dataset.p:
         raise NumericalError(f"need n > p: n = {dataset.n}, p = {dataset.p}")
-    with _stage(1, "linear regression"):
-        theta_lin = regress.least_squares(dataset.X, dataset.Y)
-    eps = dataset.Y - dataset.X @ theta_lin
-    phi_b = (eps.T @ eps) / dataset.n
+    phi_b = _mean_outer_product(dataset)
     with _stage(4, "eigenspace extraction"):
         if variant == "homo":
             u_b, _ = spectral.top_k_eigenvectors(phi_b, k, source="phi_B")
@@ -162,29 +158,27 @@ def fit_non_interaction(
         )
 
 
+def _mean_outer_product(dataset: Dataset) -> np.ndarray:
+    """Averaged residual outer product of the linear fit of Y on X."""
+    with _stage(1, "linear regression"):
+        theta_lin = regress.least_squares(dataset.X, dataset.Y)
+    eps = dataset.Y - dataset.X @ theta_lin
+    return (eps.T @ eps) / dataset.n
+
+
 def interaction_spectra(dataset: Dataset) -> list[SpectrumSummary]:
     """Spectra of the p+1 interaction-model covariance surfaces.
 
     Used by the rank selector: one spectrum for the intercept surface
     and one per diagonal-pair interaction surface.
     """
-    with _stage(1, "interaction regression"):
-        first = regress.fit_first_stage(dataset)
-    with _stage(3, "covariance regression"):
-        cov = regress.fit_covariance_regression(first, dataset.X)
-    spectra = [spectral.eigen_spectrum(cov.phi_B, "phi_B")]
-    for j in range(dataset.p):
-        spectra.append(spectral.eigen_spectrum(cov.phi_C(j), f"phi_C[{j}]"))
-    return spectra
+    names = ["phi_B"] + [f"phi_C[{j}]" for j in range(dataset.p)]
+    return [spectral.eigen_spectrum(s, name) for s, name in zip(_interaction_surfaces(dataset), names)]
 
 
 def non_interaction_spectrum(dataset: Dataset) -> SpectrumSummary:
     """Spectrum of the averaged residual outer product of the linear fit."""
-    with _stage(1, "linear regression"):
-        theta_lin = regress.least_squares(dataset.X, dataset.Y)
-    eps = dataset.Y - dataset.X @ theta_lin
-    phi_b = (eps.T @ eps) / dataset.n
-    return spectral.eigen_spectrum(phi_b, "phi_B_mean")
+    return spectral.eigen_spectrum(_mean_outer_product(dataset), "phi_B_mean")
 
 
 def fit_method(

@@ -1,8 +1,7 @@
 """Least-squares stages shared by every estimator pipeline.
 
-All solves go through orthogonal decompositions (SVD) rather than normal
-equations; the explicit normal-equations path lives only in the test
-suite as an independent oracle.
+Every solve goes through one thin-SVD pseudo-inverse, not normal equations;
+the explicit normal-equations path lives only in the test suite as an oracle.
 """
 
 from __future__ import annotations
@@ -18,6 +17,7 @@ from .model import (
     DebiasedEstimate,
     FirstStageFit,
     ProjectionBasis,
+    _require_finite,
     interaction_pair_count,
 )
 
@@ -83,6 +83,7 @@ def _check_conditioning(singular_values: np.ndarray, what: str) -> None:
 def least_squares(design: np.ndarray, targets: np.ndarray) -> np.ndarray:
     """Minimize ||targets - design @ coefficients||_F over coefficients.
 
+    Solved as pinv(design) @ targets through the thin SVD of the design.
     Requires an overdetermined, well-conditioned design: n >= q and
     smallest singular value above SV_RTOL times the largest.
     """
@@ -97,9 +98,7 @@ def least_squares(design: np.ndarray, targets: np.ndarray) -> np.ndarray:
         )
     if n < q:
         raise NumericalError(f"underdetermined system: n = {n} < q = {q}")
-    coef, _, _, sv = np.linalg.lstsq(design, targets, rcond=None)
-    _check_conditioning(sv, "design")
-    return coef
+    return _pseudo_inverse(design, "design") @ targets
 
 
 def _pseudo_inverse(design: np.ndarray, what: str) -> np.ndarray:
@@ -126,8 +125,20 @@ def fit_first_stage(dataset: Dataset) -> FirstStageFit:
     return FirstStageFit(L1=coef[: design.p], L2=coef[design.p :], residuals=residuals)
 
 
-def _symmetrize(mat: np.ndarray) -> np.ndarray:
-    return (mat + mat.T) / 2.0
+def _covariance_weights(fit: FirstStageFit, X: np.ndarray) -> np.ndarray:
+    """Pseudo-inverse rows of the design [1, X_j, X_j X_k], pairs in interaction_pairs order."""
+    n = fit.residuals.shape[0]
+    if np.shape(X) != (n, fit.p):
+        raise DimensionMismatchError(
+            f"X must be ({n}, {fit.p}) to match the first-stage fit, got {np.shape(X)}"
+        )
+    design = np.column_stack([np.ones(n), expand_interactions(X).matrix])
+    if n <= design.shape[1]:
+        raise NumericalError(
+            f"covariance regression needs n > 1 + p + p(p+1)/2: n = {n}, "
+            f"columns = {design.shape[1]}"
+        )
+    return _pseudo_inverse(design, "covariance design")
 
 
 def fit_covariance_regression(fit: FirstStageFit, X: np.ndarray) -> CovarianceFit:
@@ -138,39 +149,29 @@ def fit_covariance_regression(fit: FirstStageFit, X: np.ndarray) -> CovarianceFi
     all (r, s), is one m x m surface. The solve is carried out by
     contracting the pseudo-inverse rows of the design against the outer
     products, which is the multi-target least-squares solution without
-    materializing the n x m(m+1)/2 target matrix. The intercept surface
-    and the diagonal-pair interaction surfaces are symmetrized as
+    materializing the n x m(m+1)/2 target matrix. Every surface is a
+    weighted sum of the symmetric eps_i eps_i^T and is symmetrized as
     (M + M^T) / 2.
     """
-    X = np.asarray(X, dtype=float)
-    eps = fit.residuals
-    n = eps.shape[0]
-    if X.ndim != 2 or X.shape != (n, fit.p):
-        raise DimensionMismatchError(
-            f"X must be ({n}, {fit.p}) to match the first-stage fit, got {X.shape}"
-        )
-    expanded = expand_interactions(X)
-    design = np.column_stack([np.ones(n), expanded.matrix])
-    if n <= design.shape[1]:
-        raise NumericalError(
-            f"covariance regression needs n > 1 + p + p(p+1)/2: n = {n}, "
-            f"columns = {design.shape[1]}"
-        )
-    pinv = _pseudo_inverse(design, "covariance design")
-    surfaces = [_contract_outer_products(eps, weights) for weights in pinv]
+    surfaces = [_contract_outer_products(fit.residuals, w) for w in _covariance_weights(fit, X)]
     p = fit.p
-    phi_b = _symmetrize(surfaces[0])
-    phi_bc = tuple(surfaces[1 + j] for j in range(p))
-    phi_cc = {}
-    for i, (j, k) in enumerate(expanded.pairs):
-        mat = surfaces[1 + p + i]
-        phi_cc[(j, k)] = _symmetrize(mat) if j == k else mat
-    return CovarianceFit(phi_B=phi_b, phi_BC=phi_bc, phi_CC=phi_cc)
+    phi_cc = dict(zip(interaction_pairs(p), surfaces[1 + p :]))
+    return CovarianceFit(phi_B=surfaces[0], phi_BC=tuple(surfaces[1 : 1 + p]), phi_CC=phi_cc)
+
+
+def fit_diagonal_surfaces(fit: FirstStageFit, X: np.ndarray) -> list[np.ndarray]:
+    """Only [phi_B, phi_C(0), ..., phi_C(p-1)], as fit_covariance_regression builds them."""
+    rows = [0] + [1 + fit.p + interaction_pairs(fit.p).index((j, j)) for j in range(fit.p)]
+    surfaces = [_contract_outer_products(fit.residuals, w) for w in _covariance_weights(fit, X)[rows]]
+    for i, surface in enumerate(surfaces):
+        _require_finite(surface, "phi_B" if i == 0 else f"phi_C[{i - 1}]")
+    return surfaces
 
 
 def _contract_outer_products(eps: np.ndarray, weights: np.ndarray) -> np.ndarray:
-    """Compute sum_i weights[i] * eps_i eps_i^T as one m x m matrix."""
-    return eps.T @ (weights[:, None] * eps)
+    """Compute sum_i weights[i] * eps_i eps_i^T as one symmetrized m x m matrix."""
+    mat = eps.T @ (weights[:, None] * eps)
+    return (mat + mat.T) / 2.0
 
 
 def fit_projected_ols(

@@ -17,10 +17,25 @@ from deconfound.estimators import (
     interaction_spectra,
     non_interaction_spectrum,
 )
-from deconfound.model import Dataset, GroundTruth, NoiseSpec, ProjectionBasis, SimulationConfig
+from deconfound import regress
+from deconfound.bench import select_k_hat
+from deconfound.model import (
+    CovarianceFit,
+    Dataset,
+    GroundTruth,
+    NoiseSpec,
+    ProjectionBasis,
+    SimulationConfig,
+)
 from deconfound.regress import fit_covariance_regression, fit_first_stage, fit_projected_ols
 from deconfound.simulate import ar_covariance, generate
-from deconfound.spectral import build_projection, hetero_pca, sin_theta, top_k_eigenvectors
+from deconfound.spectral import (
+    build_projection,
+    eigen_spectrum,
+    hetero_pca,
+    sin_theta,
+    top_k_eigenvectors,
+)
 
 
 def _noiseless_linear(rng, n=50, p=2, m=6):
@@ -111,29 +126,55 @@ class TestInteractionPipelines:
         assert np.array_equal(c.theta, d.theta)
 
     def test_matches_manual_stage_chain(self):
-        cfg = SimulationConfig(n=150, m=10, p=2, k=2, seed=10)
-        ds, _ = generate(cfg)
-        est = fit_homoscedastic(ds, 2)
-        first = fit_first_stage(ds)
-        cov = fit_covariance_regression(first, ds.X)
-        blocks = [top_k_eigenvectors(cov.phi_B, 2)[0]]
-        blocks += [top_k_eigenvectors(cov.phi_C(j), 2)[0] for j in range(2)]
-        basis = build_projection(blocks)
-        manual = fit_projected_ols(ds, basis)
-        assert np.max(np.abs(est.theta - manual.theta)) < 1e-12
-        assert est.method == "interaction_homo" and est.k_used == 2
+        # p = 3 reads the diagonal pairs (0, 0), (1, 1), (2, 2) from among six
+        for p in (2, 3):
+            cfg = SimulationConfig(n=150, m=10, p=p, k=2, seed=10)
+            ds, _ = generate(cfg)
+            est = fit_homoscedastic(ds, 2)
+            first = fit_first_stage(ds)
+            cov = fit_covariance_regression(first, ds.X)
+            blocks = [top_k_eigenvectors(cov.phi_B, 2)[0]]
+            blocks += [top_k_eigenvectors(cov.phi_C(j), 2)[0] for j in range(p)]
+            basis = build_projection(blocks)
+            manual = fit_projected_ols(ds, basis)
+            assert np.max(np.abs(est.theta - manual.theta)) < 1e-12
+            assert est.method == "interaction_homo" and est.k_used == 2
 
     def test_hetero_uses_heteropca_for_b_block(self):
-        cfg = SimulationConfig(n=150, m=10, p=2, k=2, seed=11)
-        ds, _ = generate(cfg)
-        est = fit_heteroscedastic(ds, 2, 7)
-        first = fit_first_stage(ds)
-        cov = fit_covariance_regression(first, ds.X)
-        blocks = [hetero_pca(cov.phi_B, 2, 7)]
-        blocks += [top_k_eigenvectors(cov.phi_C(j), 2)[0] for j in range(2)]
-        manual = fit_projected_ols(ds, build_projection(blocks))
-        assert np.max(np.abs(est.theta - manual.theta)) < 1e-12
-        assert est.method == "interaction_hetero" and est.t_used == 7
+        for p in (2, 3):
+            cfg = SimulationConfig(n=150, m=10, p=p, k=2, seed=11)
+            ds, _ = generate(cfg)
+            est = fit_heteroscedastic(ds, 2, 7)
+            first = fit_first_stage(ds)
+            cov = fit_covariance_regression(first, ds.X)
+            blocks = [hetero_pca(cov.phi_B, 2, 7)]
+            blocks += [top_k_eigenvectors(cov.phi_C(j), 2)[0] for j in range(p)]
+            manual = fit_projected_ols(ds, build_projection(blocks))
+            assert np.max(np.abs(est.theta - manual.theta)) < 1e-12
+            assert est.method == "interaction_hetero" and est.t_used == 7
+
+    def test_builds_only_the_read_surfaces(self, monkeypatch):
+        # the estimator path builds phi_B and the p phi_C(j), never a CovarianceFit
+        built = []
+        contract = regress._contract_outer_products
+
+        def counting_contract(*args):
+            built.append(args)
+            return contract(*args)
+
+        def no_covariance_fit(self):
+            raise AssertionError("CovarianceFit constructed on the estimator path")
+
+        monkeypatch.setattr(regress, "_contract_outer_products", counting_contract)
+        monkeypatch.setattr(CovarianceFit, "__post_init__", no_covariance_fit)
+        ds, _ = generate(SimulationConfig(n=150, m=10, p=3, k=2, seed=12))
+        for method in ("interaction_homo", "interaction_hetero"):
+            built.clear()
+            fit_method(ds, method, k=2)
+            assert len(built) == 4
+        built.clear()
+        select_k_hat(ds, "interaction", 3)
+        assert len(built) == 4
 
     def test_homo_hetero_b_blocks_agree_on_homoscedastic_data(self):
         # with homoscedastic noise the covariance shift is ~sigma^2 I, which
@@ -242,12 +283,17 @@ class TestNonInteraction:
 
 class TestSpectraHelpers:
     def test_interaction_spectra_shapes(self):
-        cfg = SimulationConfig(n=100, m=10, p=2, k=2, seed=18)
-        ds, _ = generate(cfg)
-        spectra = interaction_spectra(ds)
-        assert len(spectra) == 3
-        assert all(s.eigenvalues.size == 10 for s in spectra)
-        assert spectra[0].source == "phi_B"
+        for p in (2, 3):
+            cfg = SimulationConfig(n=100, m=10, p=p, k=2, seed=18)
+            ds, _ = generate(cfg)
+            spectra = interaction_spectra(ds)
+            assert len(spectra) == p + 1
+            assert all(s.eigenvalues.size == 10 for s in spectra)
+            assert spectra[0].source == "phi_B"
+            cov = fit_covariance_regression(fit_first_stage(ds), ds.X)
+            surfaces = [cov.phi_B] + [cov.phi_C(j) for j in range(p)]
+            for spectrum, surface in zip(spectra, surfaces):
+                assert np.array_equal(spectrum.eigenvalues, eigen_spectrum(surface, "ref").eigenvalues)
 
     def test_non_interaction_spectrum(self):
         cfg = SimulationConfig(n=100, m=10, p=2, k=2, seed=19)

@@ -75,9 +75,9 @@ class TestLeastSquares:
             assert np.max(np.abs(grad)) < 1e-7 * np.linalg.norm(targets)
 
     def test_rank_deficient(self):
-        design = np.ones((6, 2))
-        with pytest.raises(RankDeficientError):
-            least_squares(design, np.ones((6, 1)))
+        for design, message in ((np.ones((6, 2)), "rank deficient"), (np.zeros((6, 2)), "identically zero")):
+            with pytest.raises(RankDeficientError, match=message):
+                least_squares(design, np.ones((6, 1)))
 
     def test_underdetermined(self):
         with pytest.raises(NumericalError):
