@@ -99,6 +99,8 @@ class ExperimentGrid:
                 raise DataError(f"unknown method tag {method!r}")
         if self.k_policy not in K_POLICIES:
             raise DataError(f"k policy must be one of {K_POLICIES}")
+        if self.n_iter < 1:
+            raise DataError(f"n_iter must be a positive integer, got {self.n_iter}")
 
     def config_for(self, value: float, rep: int) -> SimulationConfig:
         seed = replicate_seed(self.base.seed, self.sweep_param, value, rep)

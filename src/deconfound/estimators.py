@@ -37,6 +37,11 @@ def _check_rank_budget(dataset: Dataset, k: int) -> None:
         )
 
 
+def _check_n_iter(n_iter: int) -> None:
+    if n_iter < 1:
+        raise DataError(f"n_iter must be a positive integer, got {n_iter}")
+
+
 def _interaction_surfaces(dataset: Dataset) -> list[np.ndarray]:
     """Steps 1-3 of the interaction model: [phi_B, phi_C(0), ..., phi_C(p-1)]."""
     with _stage(1, "interaction regression"):
@@ -83,9 +88,8 @@ def fit_heteroscedastic(dataset: Dataset, k: int, n_iter: int = DEFAULT_N_ITER) 
     Identical to fit_homoscedastic except the B-block eigenvectors come
     from the diagonal-imputation iteration with n_iter passes.
     """
+    _check_n_iter(n_iter)
     _check_rank_budget(dataset, k)
-    if n_iter < 1:
-        raise NumericalError("n_iter must be a positive integer")
     basis = _interaction_projection(dataset, k, n_iter=n_iter)
     with _stage(5, "projected least squares"):
         return regress.fit_projected_ols(
@@ -135,6 +139,8 @@ def fit_non_interaction(
     """
     if variant not in ("homo", "hetero"):
         raise DataError(f"variant must be 'homo' or 'hetero', got {variant!r}")
+    if variant == "hetero":
+        _check_n_iter(n_iter)
     if k < 1:
         raise NumericalError(f"k must be a positive integer, got {k}")
     if k > dataset.m:
@@ -147,8 +153,6 @@ def fit_non_interaction(
             u_b, _ = spectral.top_k_eigenvectors(phi_b, k, source="phi_B")
             t_used = None
         else:
-            if n_iter < 1:
-                raise NumericalError("n_iter must be a positive integer")
             u_b = spectral.hetero_pca(phi_b, k, n_iter)
             t_used = n_iter
     basis = ProjectionBasis(U=u_b)

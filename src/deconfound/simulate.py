@@ -57,13 +57,14 @@ def _draw_noise(
 ) -> np.ndarray:
     draws = _rng(config.seed, block).standard_normal((n, config.m))
     if noise.kind == "homoscedastic":
-        return np.sqrt(noise.sigma2) * draws
-    return draws * np.sqrt(tau2)[None, :]
+        return np.multiply(np.sqrt(noise.sigma2), draws, out=draws)
+    return np.multiply(draws, np.sqrt(tau2)[None, :], out=draws)
 
 
 def structural_response(X: np.ndarray, Z: np.ndarray, truth: GroundTruth) -> np.ndarray:
     """Noise-free responses A^T x + B^T z + sum_j C_j^T x_j z, one row per sample."""
-    out = X @ truth.A + Z @ truth.B
+    out = X @ truth.A
+    out += Z @ truth.B
     for j, c in enumerate(truth.C):
         out += (X[:, j : j + 1] * Z) @ c
     return out
@@ -94,9 +95,8 @@ def generate(config: SimulationConfig) -> tuple[Dataset, GroundTruth]:
     )
     x = _draw_design(config, n, "X")
     w = config.sigma_w * _rng(config.seed, "W").standard_normal((n, k))
-    e = _draw_noise(config, noise, tau2, n, "E")
-    z = x @ truth.psi + w
-    y = structural_response(x, z, truth) + e
+    y = structural_response(x, x @ truth.psi + w, truth)
+    y += _draw_noise(config, noise, tau2, n, "E")
     return Dataset(X=x, Y=y), truth
 
 
@@ -119,7 +119,8 @@ def generate_test_split(
         raise DataError("heteroscedastic truth is missing its tau2 profile")
     x = _draw_design(config, n_star, "X_test")
     w = truth.sigma_w * _rng(config.seed, "W_test").standard_normal((n_star, truth.k))
-    e = _draw_noise(config, truth.noise, truth.tau2, n_star, "E_test")
-    z = x @ truth.psi + w
-    y = structural_response(x, z, truth) + e
+    # noise is drawn after the response and added in place, so at most two
+    # n_star x m arrays are alive at once
+    y = structural_response(x, x @ truth.psi + w, truth)
+    y += _draw_noise(config, truth.noise, truth.tau2, n_star, "E_test")
     return Dataset(X=x, Y=y)

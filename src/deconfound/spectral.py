@@ -75,27 +75,27 @@ def hetero_pca(S: np.ndarray, k: int, n_iter: int) -> np.ndarray:
     """Leading eigenspace of S with the diagonal iteratively re-imputed.
 
     Starts from S with a zeroed diagonal and alternates: take the best
-    rank-k approximation, then replace only the diagonal with the
-    approximation's diagonal while restoring the original off-diagonal
-    entries. Returns the top-k left singular vectors after n_iter
-    replacements. Robust to additive diagonal contamination of a low-rank
-    target, which plain eigenvector extraction is not.
+    rank-k approximation sum_j lambda_j u_j u_j^T over the k largest
+    |lambda|, then replace only the diagonal with its diagonal while
+    keeping the original off-diagonal entries. Returns the eigenvectors
+    of the k largest |lambda| (sign-normalized) after n_iter
+    replacements; S is left unchanged. Robust to additive diagonal
+    contamination of a low-rank target, which plain eigenvector
+    extraction is not.
     """
-    sym = _as_symmetric(S)
-    m = sym.shape[0]
+    current = _as_symmetric(S)
+    m = current.shape[0]
     if not 1 <= k <= m:
         raise NumericalError(f"k must satisfy 1 <= k <= m = {m}, got {k}")
     if n_iter < 0:
         raise DataError("n_iter must be nonnegative")
-    current = sym.copy()
     np.fill_diagonal(current, 0.0)
-    for _ in range(n_iter):
-        u, s, vt = np.linalg.svd(current)
-        imputed = np.einsum("ij,j,ji->i", u[:, :k], s[:k], vt[:k, :])
-        current = sym.copy()
-        np.fill_diagonal(current, imputed)
-    u, _, _ = np.linalg.svd(current)
-    return fix_signs(u[:, :k])
+    for step in range(n_iter + 1):
+        vals, vecs = np.linalg.eigh(current)
+        top = np.argsort(np.abs(vals))[: -k - 1 : -1]
+        if step < n_iter:
+            np.fill_diagonal(current, np.square(vecs[:, top]) @ vals[top])
+    return fix_signs(vecs[:, top])
 
 
 def build_projection(blocks: list[np.ndarray]) -> ProjectionBasis:

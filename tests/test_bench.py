@@ -210,6 +210,8 @@ class TestRunGrid:
             _tiny_grid(methods=("gradient_boost",))
         with pytest.raises(DataError):
             _tiny_grid(sweep_param="n")
+        with pytest.raises(DataError, match="n_iter"):
+            _tiny_grid(n_iter=0)
 
 
 class TestRunKSelection:

@@ -80,6 +80,15 @@ class TestFitCommand:
         ])
         assert code == 3
 
+    @pytest.mark.parametrize("method", ["interaction_hetero", "non_interaction_hetero"])
+    def test_zero_iterations_exits_2(self, tmp_path, method):
+        _write_dataset(tmp_path)
+        code = main([
+            "fit", "--x", str(tmp_path / "X.csv"), "--y", str(tmp_path / "Y.csv"),
+            "--method", method, "--k", "2", "--t", "0",
+        ])
+        assert code == 2
+
     def test_idempotent(self, tmp_path):
         _write_dataset(tmp_path)
         args = [
@@ -149,6 +158,15 @@ class TestBenchmarkCommand:
 
     def test_bad_sweep_spec(self, tmp_path):
         assert main(["benchmark", "--sweep", "eta_dep", "--out", str(tmp_path)]) == 2
+
+    def test_zero_iterations_exits_2_without_report(self, tmp_path):
+        out = tmp_path / "bench"
+        code = main([
+            "benchmark", "--setting", "1", "--sweep", "alpha=0", "--noise", "hetero",
+            "--replicates", "1", "--methods", "interaction_hetero", "--t", "0", "--out", str(out),
+        ])
+        assert code == 2
+        assert not out.exists()
 
 
 class TestSelectKCommand:

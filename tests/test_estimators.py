@@ -328,3 +328,13 @@ class TestFitMethodDispatch:
         ds = Dataset(X=rng.standard_normal((50, 2)), Y=rng.standard_normal((50, 8)))
         with pytest.raises(DataError):
             fit_method(ds, "lasso", k=1)
+
+    @pytest.mark.parametrize("method", ["interaction_hetero", "non_interaction_hetero"])
+    def test_invalid_n_iter_rejected_before_any_step(self, method):
+        # an all-zero design fails step 1, so a DataError here means the
+        # iteration count was checked before the pipeline started
+        ds = Dataset(X=np.zeros((50, 2)), Y=np.random.default_rng(23).standard_normal((50, 8)))
+        for n_iter in (0, -1):
+            with pytest.raises(DataError, match="n_iter must be a positive integer") as info:
+                fit_method(ds, method, k=2, n_iter=n_iter)
+            assert "step" not in str(info.value)

@@ -122,6 +122,25 @@ class TestConditionalMean:
         z = ds.X @ truth.psi + w
         assert np.array_equal(ds.Y, structural_response(ds.X, z, truth) + e)
 
+    @pytest.mark.parametrize("noise, alpha, p", [("homoscedastic", 0.0, 2), ("heteroscedastic", 6.0, 3)])
+    def test_bitwise_equal_to_literal_model(self, noise, alpha, p):
+        # Y = X A + Z B + sum_j (X_j Z) C_j + E, evaluated left to right on the
+        # same substreams, for the training draws and for the test split
+        cfg = SimulationConfig(n=70, m=9, p=p, k=2, noise=noise, alpha=alpha, seed=26)
+        ds, truth = generate(cfg)
+        test = generate_test_split(cfg, truth, 90)
+        chol = np.linalg.cholesky(ar_covariance(p))
+        scale = np.sqrt(truth.tau2) if truth.tau2 is not None else np.sqrt(truth.noise.sigma2)
+        for got, n, blocks in ((ds, cfg.n, ("X", "W", "E")), (test, 90, ("X_test", "W_test", "E_test"))):
+            x = _rng(cfg.seed, blocks[0]).standard_normal((n, p)) @ chol.T
+            z = x @ truth.psi + truth.sigma_w * _rng(cfg.seed, blocks[1]).standard_normal((n, cfg.k))
+            e = _rng(cfg.seed, blocks[2]).standard_normal((n, cfg.m)) * scale
+            y = x @ truth.A + z @ truth.B
+            for j in range(p):
+                y = y + (x[:, j : j + 1] * z) @ truth.C[j]
+            assert np.array_equal(got.X, x)
+            assert np.array_equal(got.Y, y + e)
+
 
 class TestTestSplit:
     def test_reproducible(self):

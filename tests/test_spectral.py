@@ -10,6 +10,7 @@ from deconfound.spectral import (
     build_projection,
     default_k_star,
     eigen_spectrum,
+    fix_signs,
     hetero_pca,
     select_k,
     sin_theta,
@@ -58,6 +59,28 @@ class TestTopKEigenvectors:
         assert u[0, 0] > 0 and u[1, 1] > 0
 
 
+def _hetero_pca_svd_reference(S: np.ndarray, k: int, n_iter: int) -> np.ndarray:
+    """HeteroPCA as first written: one full SVD per step, copying S each time."""
+    sym = (S + S.T) / 2.0
+    current = sym.copy()
+    np.fill_diagonal(current, 0.0)
+    for _ in range(n_iter):
+        u, s, vt = np.linalg.svd(current)
+        imputed = np.einsum("ij,j,ji->i", u[:, :k], s[:k], vt[:k, :])
+        current = sym.copy()
+        np.fill_diagonal(current, imputed)
+    u, _, _ = np.linalg.svd(current)
+    return fix_signs(u[:, :k])
+
+
+def _low_rank_plus_noise(seed: int, m: int, eigenvalues) -> np.ndarray:
+    """U diag(eigenvalues) U^T plus a heteroscedastic diagonal and a small symmetric perturbation."""
+    rng = np.random.default_rng(seed)
+    u = random_orthonormal(rng, m, len(eigenvalues))
+    noise = 0.05 * rng.standard_normal((m, m))
+    return u @ np.diag(eigenvalues) @ u.T + np.diag(rng.uniform(0.0, 3.0, m)) + noise + noise.T
+
+
 def _hadamard_columns(m: int, k: int) -> np.ndarray:
     """Columns 1..k of the Sylvester-Hadamard orthonormal basis (m a power of 2)."""
     h = np.array([[1.0]])
@@ -67,6 +90,34 @@ def _hadamard_columns(m: int, k: int) -> np.ndarray:
 
 
 class TestHeteroPCA:
+    @pytest.mark.parametrize("n_iter", [0, 1, 5])
+    @pytest.mark.parametrize(
+        "seed, eigenvalues, k",
+        [
+            (60, [20.0, 14.0, 9.0], 3),
+            (61, [12.0, 7.0], 2),
+            # largest |lambda| is negative: ordering by algebraic value would drop it
+            (62, [-25.0, 15.0, 10.0], 2),
+            (63, [-25.0, 15.0, 10.0], 3),
+        ],
+    )
+    def test_matches_svd_reference(self, seed, eigenvalues, k, n_iter):
+        s = _low_rank_plus_noise(seed, 40, eigenvalues)
+        got = hetero_pca(s, k, n_iter)
+        ref = _hetero_pca_svd_reference(s, k, n_iter)
+        assert got.shape == (40, k)
+        assert sin_theta(got, ref) <= 1e-10
+        assert np.max(np.abs(got.T @ got - np.eye(k))) < 1e-12
+
+    def test_argument_unchanged_and_read_only_accepted(self):
+        s = _low_rank_plus_noise(64, 30, [9.0, 6.0, 4.0])
+        s[0, 1] += 0.5  # asymmetric, so the symmetrized copy differs from s
+        before = s.copy()
+        s.setflags(write=False)
+        got = hetero_pca(s, 3, 5)
+        assert np.array_equal(s, before)
+        assert sin_theta(got, _hetero_pca_svd_reference(before, 3, 5)) <= 1e-10
+
     def test_zero_iterations_on_consistent_diagonal(self):
         # flat-leverage eigenvectors give a constant diagonal, so deleting it
         # shifts the spectrum without rotating the leading subspace

@@ -1,0 +1,163 @@
+"""Compare the numerical results of two deconfound source trees on fixed seeds.
+
+    python3 tools/aim3_compare.py PARENT_SRC CHANGE_SRC
+
+PARENT_SRC and CHANGE_SRC are the `src` directories of two checkouts.
+Each tree is imported in its own subprocess with one BLAS thread. On
+every dataset the subprocess fits all six methods with K known and runs
+both rank selectors with the default k_star. The datasets cover S1
+(m=25, n=1000), S2 (m=500, n=100) and the stress point (m=500, n=1000),
+each under homoscedastic and alpha=6 heteroscedastic noise, on a fixed
+seed list.
+
+The script prints the largest sin-theta between the projection bases the
+two trees fit with, the largest relative Frobenius error of theta and
+whether any K selection or fit outcome changed. It exits 1 when a result
+breaks ROADMAP aim 3 (sin-theta above 1e-10, theta error above 1e-8, a
+changed selection or outcome), or when the two trees draw different
+datasets, since their results are then not comparable. Needs only numpy.
+"""
+
+from __future__ import annotations
+
+import os
+import pickle
+import subprocess
+import sys
+import tempfile
+import time
+import warnings
+
+import numpy as np
+
+BASIS_BOUND = 1e-10
+THETA_BOUND = 1e-8
+SETTINGS = {"S1": (25, 1000, range(6)), "S2": (500, 100, range(6)), "stress": (500, 1000, range(3))}
+NOISES = {"homo": ("homoscedastic", 0.0), "alpha6": ("heteroscedastic", 6.0)}
+METHODS = ("ols", "oracle", "interaction_homo", "interaction_hetero", "non_interaction_homo", "non_interaction_hetero")
+SELECTORS = ("interaction", "non_interaction")
+ONE_THREAD = {name: "1" for name in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")}
+
+
+def run_tree(src: str, out_path: str) -> None:
+    """Subprocess side: fit every case with the tree at src and pickle the results."""
+    sys.path.insert(0, os.path.abspath(src))
+    from deconfound import bench, estimators, regress, spectral
+    from deconfound.errors import DeconfoundError
+    from deconfound.model import SimulationConfig
+    from deconfound.simulate import generate
+
+    if not os.path.abspath(estimators.__file__).startswith(os.path.abspath(src)):
+        raise SystemExit(f"imported deconfound from {estimators.__file__}, not from {src}")
+    warnings.simplefilter("ignore")
+    captured = {}
+    fit_projected_ols = regress.fit_projected_ols
+
+    def capture_basis(dataset, basis, *args, **kwargs):
+        captured["U"] = np.array(basis.U)
+        return fit_projected_ols(dataset, basis, *args, **kwargs)
+
+    regress.fit_projected_ols = capture_basis
+    results = {}
+    for setting, (m, n, seeds) in SETTINGS.items():
+        for noise_name, (noise, alpha) in NOISES.items():
+            for seed in seeds:
+                case = f"{setting}/{noise_name}/seed {seed}"
+                config = SimulationConfig(n=n, m=m, p=2, k=3, noise=noise, alpha=alpha, seed=seed)
+                dataset, truth = generate(config)
+                results[(case, "data")] = (dataset.X, dataset.Y)
+                for method in METHODS:
+                    captured.clear()
+                    try:
+                        est = estimators.fit_method(dataset, method, k=3, truth=truth)
+                        results[(case, method)] = (est.theta, captured["U"])
+                    except (DeconfoundError, np.linalg.LinAlgError) as err:
+                        results[(case, method)] = type(err).__name__
+                k_star = spectral.default_k_star(n, m)
+                for selector in SELECTORS:
+                    try:
+                        results[(case, selector)] = bench.select_k_hat(dataset, selector, k_star)
+                    except (DeconfoundError, np.linalg.LinAlgError) as err:
+                        results[(case, selector)] = type(err).__name__
+    with open(out_path, "wb") as fh:
+        pickle.dump(results, fh)
+
+
+def _fit_tree(src: str, scratch: str, tag: str) -> dict:
+    out_path = os.path.join(scratch, f"{tag}.pkl")
+    start = time.perf_counter()
+    subprocess.run(
+        [sys.executable, os.path.abspath(__file__), "--run-tree", src, out_path],
+        check=True,
+        env={**os.environ, **ONE_THREAD},
+    )
+    print(f"{tag}: {src} ({time.perf_counter() - start:.1f} s)")
+    with open(out_path, "rb") as fh:
+        return pickle.load(fh)
+
+
+def _sin_theta(U: np.ndarray, V: np.ndarray) -> float:
+    if V.shape[1] > U.shape[1]:
+        U, V = V, U
+    return float(np.linalg.norm(V - U @ (U.T @ V)))
+
+
+def _outcome(result) -> str:
+    """The error class name of a failed fit, or 'ok'."""
+    return result if isinstance(result, str) else "ok"
+
+
+def compare(parent: dict, change: dict) -> int:
+    worst_basis, worst_theta = (0.0, "-"), (0.0, "-")
+    changed_k, changed_fits, n_selections, n_fits = [], [], 0, 0
+    for key, old in parent.items():
+        new = change[key]
+        case, what = key
+        if what == "data":
+            if not all(np.array_equal(a, b) for a, b in zip(old, new)):
+                print(f"{case}: the two trees draw different datasets; results are not comparable\nFAIL")
+                return 1
+        elif what in SELECTORS:
+            n_selections += 1
+            if old != new:
+                changed_k.append(f"{case} {what}: {old} -> {new}")
+        else:
+            n_fits += 1
+            if _outcome(old) != _outcome(new):
+                changed_fits.append(f"{case} {what}: {_outcome(old)} -> {_outcome(new)}")
+            if _outcome(old) != "ok" or _outcome(new) != "ok":
+                continue
+            (theta_old, u_old), (theta_new, u_new) = old, new
+            if u_old.shape != u_new.shape:
+                changed_fits.append(f"{case} {what}: basis shape {u_old.shape} -> {u_new.shape}")
+                continue
+            if u_old.shape[1]:
+                worst_basis = max(worst_basis, (_sin_theta(u_old, u_new), f"{case} {what}"))
+            rel = float(np.linalg.norm(theta_new - theta_old) / np.linalg.norm(theta_old))
+            worst_theta = max(worst_theta, (rel, f"{case} {what}"))
+    print(f"max basis sin-theta: {worst_basis[0]:.2e} (bound {BASIS_BOUND:.0e}) at {worst_basis[1]}")
+    print(f"max theta relative error: {worst_theta[0]:.2e} (bound {THETA_BOUND:.0e}) at {worst_theta[1]}")
+    print(f"K selections changed: {len(changed_k)} of {n_selections}")
+    print(f"fit outcomes changed: {len(changed_fits)} of {n_fits}")
+    for line in changed_k + changed_fits:
+        print(f"  {line}")
+    ok = worst_basis[0] <= BASIS_BOUND and worst_theta[0] <= THETA_BOUND and not changed_k and not changed_fits
+    print("PASS" if ok else "FAIL")
+    return 0 if ok else 1
+
+
+def main(argv: list[str]) -> int:
+    if len(argv) == 3 and argv[0] == "--run-tree":
+        run_tree(argv[1], argv[2])
+        return 0
+    if len(argv) != 2:
+        print(__doc__, file=sys.stderr)
+        return 2
+    with tempfile.TemporaryDirectory() as scratch:
+        parent = _fit_tree(argv[0], scratch, "parent")
+        change = _fit_tree(argv[1], scratch, "change")
+    return compare(parent, change)
+
+
+if __name__ == "__main__":
+    sys.exit(main(sys.argv[1:]))
