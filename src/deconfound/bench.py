@@ -10,6 +10,7 @@ from __future__ import annotations
 import csv
 import hashlib
 from concurrent.futures import ProcessPoolExecutor
+from contextlib import closing
 from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Any
@@ -18,7 +19,7 @@ import numpy as np
 
 from . import estimators, io, spectral
 from .errors import DataError, DeconfoundError, DimensionMismatchError
-from .model import METHODS, Dataset, GroundTruth, SimulationConfig
+from .model import METHODS, Dataset, DebiasedEstimate, GroundTruth, SimulationConfig
 from .simulate import DEFAULT_N_TEST, generate, generate_test_split
 
 SWEEP_PARAMS = ("eta_dep", "alpha", "sigma_w")
@@ -99,8 +100,7 @@ class ExperimentGrid:
                 raise DataError(f"unknown method tag {method!r}")
         if self.k_policy not in K_POLICIES:
             raise DataError(f"k policy must be one of {K_POLICIES}")
-        if self.n_iter < 1:
-            raise DataError(f"n_iter must be a positive integer, got {self.n_iter}")
+        estimators._check_n_iter(self.n_iter)
 
     def config_for(self, value: float, rep: int) -> SimulationConfig:
         seed = replicate_seed(self.base.seed, self.sweep_param, value, rep)
@@ -194,66 +194,70 @@ def _aggregate(sweep_param: str, records: list[CellResult], grid: ExperimentGrid
 
 def select_k_hat(dataset: Dataset, selector: str, k_star: int) -> int:
     """Rank estimate for one dataset under the given selector family."""
-    if selector == "interaction":
-        spectra = estimators.interaction_spectra(dataset)
-    else:
-        spectra = [estimators.non_interaction_spectrum(dataset)]
-    return spectral.select_k(spectra, k_star)
+    with closing(estimators._Stage(dataset)) as stage:
+        return stage.select_k(selector, k_star)
 
 
-def _selector_for(method: str) -> str:
-    return "interaction" if method.startswith("interaction") else "non_interaction"
+def _run_dataset(
+    dataset: Dataset, methods, *, k: int | None, k_star: int | None, n_iter: int, truth: GroundTruth | None = None
+) -> list[tuple[DebiasedEstimate | Exception, int | None]]:
+    """(estimate or error, k_used) of each method on one dataset, through one shared stage.
+
+    An error names its step, or starts "selection failed: ". With k None, K
+    is selected per selector family, bounded by k_star (default:
+    default_k_star). An invalid k or n_iter raises DataError at once.
+    """
+    if k is not None and k < 1:
+        raise DataError(f"k must be a positive integer, got {k}")
+    estimators._check_n_iter(n_iter)
+    k_star = k_star or spectral.default_k_star(dataset.n, dataset.m)
+    outcomes = []
+    with closing(estimators._Stage(dataset)) as stage:
+        for method in methods:
+            reads_k = method not in ("ols", "oracle")
+            k_used = k if reads_k else None
+            try:
+                if reads_k and k is None:
+                    selector = "interaction" if method.startswith("interaction") else "non_interaction"
+                    k_used = stage.select_k(selector, k_star)
+                est = estimators._fit(stage, method, k_used, n_iter, truth)
+                outcomes.append((est, est.k_used))
+            except (DeconfoundError, np.linalg.LinAlgError) as err:
+                # a fresh error: the raised one's traceback would keep the stage and the dataset alive
+                failed = "selection failed: " if reads_k and k_used is None else ""
+                outcomes.append((type(err)(f"{failed}{err}"), k_used))
+    return outcomes
 
 
-def _run_bundle(grid: ExperimentGrid, value: float, rep: int) -> list[CellResult]:
+def _run_bundle(job: tuple[ExperimentGrid, float, int]) -> list[CellResult]:
     """Generate one dataset and fit every requested method on it."""
+    grid, value, rep = job
     config = grid.config_for(value, rep)
     dataset, truth = generate(config)
+    k = config.k if grid.k_policy == "known" else None
+    outcomes = _run_dataset(dataset, grid.methods, k=k, k_star=grid.k_star, n_iter=grid.n_iter, truth=truth)
+    # Drawn after the fits: drawn first, it leaves the freed stage buffers as holes
+    # too small for pmse_log's n* x m buffers, and the heap grows by one of them.
     test = generate_test_split(config, truth, grid.n_star)
-    k_hats: dict[str, int | str] = {}
-    if grid.k_policy == "selected":
-        k_star = grid.k_star or spectral.default_k_star(dataset.n, dataset.m)
-        needed = {_selector_for(m) for m in grid.methods if m not in ("ols", "oracle")}
-        for selector in needed:
-            try:
-                k_hats[selector] = select_k_hat(dataset, selector, k_star)
-            except (DeconfoundError, np.linalg.LinAlgError) as err:
-                k_hats[selector] = f"selection failed: {err}"
     results = []
-    for method in grid.methods:
-        k: int | None = None
-        if method not in ("ols", "oracle"):
-            if grid.k_policy == "known":
-                k = config.k
-            else:
-                chosen = k_hats[_selector_for(method)]
-                if isinstance(chosen, str):
-                    results.append(
-                        CellResult(value, method, rep, None, None, None, error=chosen)
-                    )
-                    continue
-                k = chosen
-        try:
-            est = estimators.fit_method(
-                dataset, method, k=k, n_iter=grid.n_iter, truth=truth
-            )
+    for method, (est, k_used) in zip(grid.methods, outcomes):
+        if isinstance(est, Exception):
+            results.append(CellResult(value, method, rep, None, None, k_used, error=str(est)))
+        else:
             results.append(
-                CellResult(
-                    sweep_value=value,
-                    method=method,
-                    replicate=rep,
-                    sse_log=sse_log(est.theta, truth.A),
-                    pmse_log=pmse_log(est.theta, test),
-                    k_used=est.k_used,
-                )
+                CellResult(value, method, rep, sse_log(est.theta, truth.A), pmse_log(est.theta, test), k_used)
             )
-        except (DeconfoundError, np.linalg.LinAlgError) as err:
-            results.append(CellResult(value, method, rep, None, None, k, error=str(err)))
     return results
 
 
-def _run_bundle_star(args: tuple[ExperimentGrid, float, int]) -> list[CellResult]:
-    return _run_bundle(*args)
+def _map(fn, jobs: list, workers: int) -> list:
+    """fn over jobs, in order: in this process, or in a pool of `workers` processes."""
+    if workers < 1:
+        raise DataError(f"workers must be a positive integer, got {workers}")
+    if workers == 1:
+        return [fn(job) for job in jobs]
+    with ProcessPoolExecutor(max_workers=workers) as pool:
+        return list(pool.map(fn, jobs, chunksize=1))
 
 
 def run_grid(grid: ExperimentGrid, workers: int = 1) -> ExperimentReport:
@@ -264,12 +268,7 @@ def run_grid(grid: ExperimentGrid, workers: int = 1) -> ExperimentReport:
     are identical to the sequential run.
     """
     jobs = [(grid, value, rep) for value in grid.sweep_values for rep in range(grid.replicates)]
-    if workers > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            bundles = list(pool.map(_run_bundle_star, jobs, chunksize=1))
-    else:
-        bundles = [_run_bundle_star(job) for job in jobs]
-    records = [rec for bundle in bundles for rec in bundle]
+    records = [rec for bundle in _map(_run_bundle, jobs, workers) for rec in bundle]
     return _aggregate(grid.sweep_param, records, grid)
 
 
@@ -308,12 +307,12 @@ def _run_k_selection_cell(args: tuple[SimulationConfig, str, float, int, int]) -
     config = replace(base, sigma_w=value, seed=seed)
     dataset, _ = generate(config)
     out = []
-    for selector in SELECTORS:
-        try:
-            k_hat = select_k_hat(dataset, selector, k_star)
-            out.append(KSelectionRecord(value, rep, selector, k_hat))
-        except (DeconfoundError, np.linalg.LinAlgError) as err:
-            out.append(KSelectionRecord(value, rep, selector, None, error=str(err)))
+    with closing(estimators._Stage(dataset)) as stage:
+        for selector in SELECTORS:
+            try:
+                out.append(KSelectionRecord(value, rep, selector, stage.select_k(selector, k_star)))
+            except (DeconfoundError, np.linalg.LinAlgError) as err:
+                out.append(KSelectionRecord(value, rep, selector, None, error=str(err)))
     return out
 
 
@@ -341,20 +340,19 @@ def run_k_selection(
         for value in sigma_w_values
         for rep in range(replicates)
     ]
-    if workers > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            cells = list(pool.map(_run_k_selection_cell, jobs, chunksize=1))
-    else:
-        cells = [_run_k_selection_cell(job) for job in jobs]
+    cells = _map(_run_k_selection_cell, jobs, workers)
     return KSelectionReport(k_star=k_star, records=tuple(r for cell in cells for r in cell))
 
 
 @dataclass(frozen=True)
 class CVFoldResult:
+    """Outcome of one (fold, method) fit; pmse_log is None when it failed."""
+
     fold: int
     method: str
-    pmse_log: float
+    pmse_log: float | None
     k_used: int | None
+    error: str | None = None
 
 
 @dataclass(frozen=True)
@@ -362,11 +360,12 @@ class CVReport:
     folds: int
     records: tuple[CVFoldResult, ...]
 
-    def mean_pmse_log(self, method: str) -> float:
-        values = [r.pmse_log for r in self.records if r.method == method]
-        if not values:
+    def mean_pmse_log(self, method: str) -> float | None:
+        """Mean over the folds that succeeded; None when every fold failed."""
+        values = [r.pmse_log for r in self.records if r.method == method and r.error is None]
+        if not values and method not in self.methods():
             raise KeyError(method)
-        return float(np.mean(values))
+        return float(np.mean(values)) if values else None
 
     def methods(self) -> tuple[str, ...]:
         seen: list[str] = []
@@ -374,6 +373,9 @@ class CVReport:
             if rec.method not in seen:
                 seen.append(rec.method)
         return tuple(seen)
+
+    def failure_count(self) -> int:
+        return sum(1 for rec in self.records if rec.error is not None)
 
 
 def fold_indices(n: int, folds: int, seed: int) -> list[np.ndarray]:
@@ -402,7 +404,9 @@ def cross_validate(
     Fits on the training rows of every fold and evaluates the projected
     estimate's log prediction MSE on the held-out rows. Under the
     "selected" policy the rank is re-chosen on each training split, so
-    no information leaks from the held-out rows.
+    no information leaks from the held-out rows. Invalid arguments raise
+    DataError before any fit; a fit that fails is recorded with its
+    step, and the other folds and methods carry on.
     """
     if k_policy not in K_POLICIES:
         raise DataError(f"k policy must be one of {K_POLICIES}")
@@ -419,19 +423,12 @@ def cross_validate(
         mask[held_out] = False
         train = Dataset(X=dataset.X[mask], Y=dataset.Y[mask])
         test = Dataset(X=dataset.X[held_out], Y=dataset.Y[held_out])
-        k_hats: dict[str, int] = {}
-        if k_policy == "selected":
-            bound = k_star or spectral.default_k_star(train.n, train.m)
-            for selector in {_selector_for(m) for m in methods if m != "ols"}:
-                k_hats[selector] = select_k_hat(train, selector, bound)
-        for method in methods:
-            k_used = None
-            if method != "ols":
-                k_used = k if k_policy == "known" else k_hats[_selector_for(method)]
-            est = estimators.fit_method(train, method, k=k_used, n_iter=n_iter)
-            records.append(
-                CVFoldResult(fold=fold, method=method, pmse_log=pmse_log(est.theta, test), k_used=est.k_used)
-            )
+        outcomes = _run_dataset(train, methods, k=k if k_policy == "known" else None, k_star=k_star, n_iter=n_iter)
+        for method, (est, k_used) in zip(methods, outcomes):
+            if isinstance(est, Exception):
+                records.append(CVFoldResult(fold, method, None, k_used, error=str(est)))
+            else:
+                records.append(CVFoldResult(fold, method, pmse_log(est.theta, test), k_used))
     return CVReport(folds=folds, records=tuple(records))
 
 
@@ -558,6 +555,7 @@ def cv_report_to_obj(report: CVReport) -> dict[str, Any]:
                 "method": rec.method,
                 "pmse_log": io.metric_to_json_value(rec.pmse_log),
                 "k_used": rec.k_used,
+                "error": rec.error,
             }
             for rec in report.records
         ],

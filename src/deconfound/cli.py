@@ -162,28 +162,27 @@ def _cmd_simulate(args) -> int:
     return 0
 
 
-def _resolve_k(args, dataset, method: str) -> int | None:
-    if method == "ols":
+def _parse_k(text: str) -> int | None:
+    """The --k flag: None for 'auto', otherwise a positive integer."""
+    if text == "auto":
         return None
-    if args.k != "auto":
-        try:
-            k = int(args.k)
-        except ValueError as err:
-            raise DataError(f"--k must be an integer or 'auto', got {args.k!r}") from err
-        if k < 1:
-            raise DataError("--k must be a positive integer")
-        return k
-    k_star = args.k_star or spectral.default_k_star(dataset.n, dataset.m)
-    selector = "interaction" if method.startswith("interaction") else "non_interaction"
-    k_hat = bench.select_k_hat(dataset, selector, k_star)
-    print(f"selected k = {k_hat} (k_star = {k_star})", file=sys.stderr)
-    return k_hat
+    try:
+        k = int(text)
+    except ValueError as err:
+        raise DataError(f"--k must be an integer or 'auto', got {text!r}") from err
+    if k < 1:
+        raise DataError(f"--k must be a positive integer, got {k}")
+    return k
 
 
 def _cmd_fit(args) -> int:
     dataset = io.load_dataset(args.x, args.y, header=args.header)
-    k = _resolve_k(args, dataset, args.method)
-    est = estimators.fit_method(dataset, args.method, k=k, n_iter=args.t)
+    k = None if args.method == "ols" else _parse_k(args.k)
+    [(est, k_used)] = bench._run_dataset(dataset, [args.method], k=k, k_star=args.k_star, n_iter=args.t)
+    if k is None and k_used is not None:
+        print(f"selected k = {k_used}", file=sys.stderr)
+    if isinstance(est, Exception):
+        raise est
     if args.out is None:
         np.savetxt(sys.stdout, est.theta, delimiter=",", fmt=io.FLOAT_FMT)
     else:
@@ -224,16 +223,9 @@ def _cmd_benchmark(args) -> int:
         name, _, tail = args.sweep.partition("=")
         sweep_param = name.strip()
         sweep_values = _parse_float_list(tail, "--sweep")
-    if args.k == "auto":
-        k_policy, k = "selected", 3
-    else:
-        try:
-            k = int(args.k)
-        except ValueError as err:
-            raise DataError(f"--k must be an integer or 'auto', got {args.k!r}") from err
-        k_policy = "known"
+    k = _parse_k(args.k)
     base = SimulationConfig(
-        n=n, m=m, p=2, k=k, eta_dep=0.5, alpha=0.0, sigma_w=1.0, noise=noise, seed=args.seed,
+        n=n, m=m, p=2, k=k or 3, eta_dep=0.5, alpha=0.0, sigma_w=1.0, noise=noise, seed=args.seed,
     )
     grid = bench.ExperimentGrid(
         base=base,
@@ -241,7 +233,7 @@ def _cmd_benchmark(args) -> int:
         sweep_values=tuple(sweep_values),
         replicates=args.replicates,
         methods=_parse_methods(args.methods),
-        k_policy=k_policy,
+        k_policy="known" if k is not None else "selected",
         k_star=args.k_star,
         n_iter=args.t,
     )
@@ -261,19 +253,12 @@ def _cmd_benchmark(args) -> int:
 def _cmd_cv(args) -> int:
     dataset = io.load_dataset(args.x, args.y, header=args.header)
     methods = _parse_methods(args.methods)
-    if args.k == "auto":
-        k_policy, k = "selected", None
-    else:
-        try:
-            k = int(args.k)
-        except ValueError as err:
-            raise DataError(f"--k must be an integer or 'auto', got {args.k!r}") from err
-        k_policy = "known"
+    k = _parse_k(args.k)
     report = bench.cross_validate(
         dataset,
         folds=args.folds,
         methods=list(methods),
-        k_policy=k_policy,
+        k_policy="known" if k is not None else "selected",
         k=k,
         k_star=args.k_star,
         n_iter=args.t,
@@ -286,7 +271,7 @@ def _cmd_cv(args) -> int:
         print(json.dumps(obj, indent=2))
     else:
         io.write_json(args.out, obj)
-        print(f"wrote {args.out}", file=sys.stderr)
+    print(f"wrote {args.out or 'stdout'} ({report.failure_count()} failed folds)", file=sys.stderr)
     return 0
 
 

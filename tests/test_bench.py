@@ -13,6 +13,7 @@ from deconfound.bench import (
     snr,
     sse_log,
 )
+from deconfound import regress
 from deconfound.errors import DataError, DimensionMismatchError
 from deconfound.model import Dataset, GroundTruth, NoiseSpec, SimulationConfig
 from deconfound.simulate import generate
@@ -165,6 +166,10 @@ class TestRunGrid:
         grid = _tiny_grid()
         assert run_grid(grid, workers=2) == run_grid(grid, workers=1)
 
+    def test_workers_must_be_positive(self):
+        with pytest.raises(DataError, match="workers"):
+            run_grid(_tiny_grid(), workers=0)
+
     def test_failures_recorded_not_fatal(self):
         # n = 6 satisfies the first-stage bound (n > 5) but not the
         # covariance-regression bound (n > 6), so the interaction method
@@ -238,6 +243,8 @@ class TestRunKSelection:
             run_k_selection(base, [1.0], k_star=0, replicates=2)
         with pytest.raises(DataError):
             run_k_selection(base, [1.0], k_star=3, replicates=0)
+        with pytest.raises(DataError, match="workers"):
+            run_k_selection(base, [1.0], k_star=3, replicates=2, workers=0)
 
 
 class TestFoldIndices:
@@ -309,3 +316,38 @@ class TestCrossValidate:
         ds, _ = generate(cfg)
         with pytest.raises(DataError):
             cross_validate(ds, folds=3, methods=["ols"], k_policy="known")
+
+    def test_failing_folds_recorded_not_fatal(self):
+        # training splits of 6 rows pass the first stage (n > 5) but not the
+        # covariance regression (n > 6): every interaction fold fails at step 3
+        rng = np.random.default_rng(17)
+        ds = Dataset(X=rng.standard_normal((8, 2)), Y=rng.standard_normal((8, 5)))
+        report = cross_validate(
+            ds, folds=4, methods=["ols", "interaction_homo"], k_policy="known", k=1
+        )
+        assert len(report.records) == 8 and report.failure_count() == 4
+        for rec in report.records:
+            if rec.method == "ols":
+                assert rec.error is None and np.isfinite(rec.pmse_log)
+            else:
+                assert rec.pmse_log is None and rec.k_used == 1
+                assert rec.error.startswith("step 3 (covariance regression)")
+        assert np.isfinite(report.mean_pmse_log("ols"))
+        assert report.mean_pmse_log("interaction_homo") is None
+
+    @pytest.mark.parametrize(
+        "overrides",
+        [
+            dict(methods=["ols", "interaction_homo"], k=0),
+            dict(methods=["ols", "interaction_hetero"], k=2, n_iter=0),
+            dict(methods=["ols", "lasso"], k=2),
+        ],
+    )
+    def test_argument_errors_raised_before_any_fit(self, monkeypatch, overrides):
+        fits = []
+        monkeypatch.setattr(regress, "fit_projected_ols", lambda *a, **kw: fits.append(a))
+        ds, _ = generate(SimulationConfig(n=60, m=10, p=2, k=2, seed=18))
+        with pytest.raises(DataError):
+            cross_validate(ds, folds=3, k_policy="known", **overrides)
+        assert fits == []
+

@@ -4,9 +4,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from deconfound import io
+from deconfound import io, regress, spectral
 from deconfound.cli import main
-from deconfound.model import SimulationConfig
+from deconfound.model import Dataset, SimulationConfig
 from deconfound.simulate import generate
 
 
@@ -89,6 +89,22 @@ class TestFitCommand:
         ])
         assert code == 2
 
+    @pytest.mark.parametrize("command", ["fit", "cv"])
+    def test_zero_iterations_with_auto_k_exits_2_before_selecting(self, tmp_path, monkeypatch, command):
+        # the selector refuses this dataset (exit 3), so it must not run first
+        _write_dataset(tmp_path, n=100, m=40, k=3, seed=2)
+        work = []
+        for owner, name in ((regress, "fit_first_stage"), (spectral, "select_k")):
+            original = getattr(owner, name)
+            monkeypatch.setattr(owner, name, lambda *a, _f=original, **kw: work.append(a) or _f(*a, **kw))
+        method = ["--method"] if command == "fit" else ["--methods"]
+        code = main([
+            command, "--x", str(tmp_path / "X.csv"), "--y", str(tmp_path / "Y.csv"),
+            *method, "interaction_hetero", "--k", "auto", "--t", "0",
+        ])
+        assert code == 2
+        assert work == []
+
     def test_idempotent(self, tmp_path):
         _write_dataset(tmp_path)
         args = [
@@ -169,6 +185,16 @@ class TestBenchmarkCommand:
         assert not out.exists()
 
 
+    def test_zero_workers_exits_2_without_report(self, tmp_path):
+        out = tmp_path / "bench"
+        code = main([
+            "benchmark", "--setting", "1", "--sweep", "eta_dep=0.5", "--replicates", "1",
+            "--methods", "ols", "--workers", "0", "--out", str(out),
+        ])
+        assert code == 2
+        assert not out.exists()
+
+
 class TestSelectKCommand:
     def test_small_run(self, tmp_path):
         out = tmp_path / "ksel"
@@ -204,3 +230,32 @@ class TestCVCommand:
         ])
         assert code == 0
         assert json.loads(capsys.readouterr().out)["folds"] == 4
+
+    @pytest.mark.parametrize("k", ["0", "-1", "many"])
+    def test_bad_k_exits_2(self, tmp_path, k):
+        _write_dataset(tmp_path, n=80, m=10, seed=6)
+        code = main([
+            "cv", "--x", str(tmp_path / "X.csv"), "--y", str(tmp_path / "Y.csv"),
+            "--folds", "4", "--methods", "ols,interaction_homo", "--k", k,
+        ])
+        assert code == 2
+
+    def test_failed_folds_recorded(self, tmp_path, capsys):
+        # 6-row training splits fail the interaction method at step 3 in every fold
+        rng = np.random.default_rng(17)
+        io.save_dataset(
+            Dataset(X=rng.standard_normal((8, 2)), Y=rng.standard_normal((8, 5))),
+            tmp_path / "X.csv", tmp_path / "Y.csv",
+        )
+        out = tmp_path / "cv.json"
+        code = main([
+            "cv", "--x", str(tmp_path / "X.csv"), "--y", str(tmp_path / "Y.csv"),
+            "--folds", "4", "--methods", "ols,interaction_homo", "--k", "1", "--out", str(out),
+        ])
+        assert code == 0
+        assert "(4 failed folds)" in capsys.readouterr().err
+        report = json.loads(out.read_text())
+        assert report["mean_pmse_log"]["interaction_homo"] is None
+        errors = {(r["method"], r["error"] is None) for r in report["records"]}
+        assert errors == {("ols", True), ("interaction_homo", False)}
+

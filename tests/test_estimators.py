@@ -1,3 +1,6 @@
+import gc
+import weakref
+
 import numpy as np
 import pytest
 from conftest import normal_equations, random_orthonormal
@@ -17,9 +20,10 @@ from deconfound.estimators import (
     interaction_spectra,
     non_interaction_spectrum,
 )
-from deconfound import regress
-from deconfound.bench import select_k_hat
+from deconfound import bench, estimators, regress, spectral
+from deconfound.bench import ExperimentGrid, run_grid, select_k_hat, sse_log
 from deconfound.model import (
+    METHODS,
     CovarianceFit,
     Dataset,
     GroundTruth,
@@ -175,6 +179,71 @@ class TestInteractionPipelines:
         built.clear()
         select_k_hat(ds, "interaction", 3)
         assert len(built) == 4
+
+    def test_steps_1_to_3_run_once_per_dataset(self, monkeypatch):
+        # one bundle of all six methods with K selected: both selectors and
+        # the four estimators share one first stage, one set of p+1
+        # surfaces, one mean outer product and one eigh per phi_C(j)
+        calls = {"first_stage": 0, "surfaces": 0, "mean": 0}
+        sources = []
+
+        def counted(key, fn):
+            def wrapper(*args, **kwargs):
+                calls[key] += 1
+                return fn(*args, **kwargs)
+
+            return wrapper
+
+        top_k = spectral.top_k_eigenvectors
+
+        def recording_top_k(*args, **kwargs):
+            sources.append(kwargs.get("source"))
+            return top_k(*args, **kwargs)
+
+        monkeypatch.setattr(regress, "fit_first_stage", counted("first_stage", regress.fit_first_stage))
+        monkeypatch.setattr(regress, "_contract_outer_products", counted("surfaces", regress._contract_outer_products))
+        monkeypatch.setattr(estimators, "_mean_outer_product", counted("mean", estimators._mean_outer_product))
+        monkeypatch.setattr(spectral, "top_k_eigenvectors", recording_top_k)
+        grid = ExperimentGrid(
+            base=SimulationConfig(n=300, m=10, p=2, k=2, sigma_w=1.5, seed=5),
+            sweep_param="eta_dep", sweep_values=(0.5,), replicates=1,
+            methods=METHODS, k_policy="selected", k_star=2, n_star=50,
+        )
+        report = run_grid(grid)
+        assert report.failure_count() == 0
+        assert calls == {"first_stage": 1, "surfaces": 3, "mean": 1}
+        assert sources.count("phi_C[0]") == sources.count("phi_C[1]") == 1
+        monkeypatch.undo()
+        ds, truth = generate(grid.config_for(0.5, 0))
+        outcomes = bench._run_dataset(ds, METHODS, k=None, k_star=2, n_iter=5, truth=truth)
+        for method, (est, k_used), rec in zip(METHODS, outcomes, report.records):
+            alone = fit_method(ds, method, k=k_used, truth=truth)
+            assert np.array_equal(est.theta, alone.theta)
+            assert rec.sse_log == sse_log(alone.theta, truth.A)
+
+    def test_kept_errors_release_the_surfaces(self, monkeypatch):
+        # a caller may keep an error (the benchmark keeps refused selections);
+        # it must not keep the p+1 m x m surfaces alive through its traceback
+        refs = []
+        diagonal = regress.fit_diagonal_surfaces
+
+        def tracked(*args):
+            surfaces = diagonal(*args)
+            refs.extend(weakref.ref(s) for s in surfaces)
+            return surfaces
+
+        monkeypatch.setattr(regress, "fit_diagonal_surfaces", tracked)
+        ds, _ = generate(SimulationConfig(n=100, m=40, p=2, k=3, seed=2))
+        gc.disable()
+        try:
+            with pytest.raises(NumericalError) as info:
+                select_k_hat(ds, "interaction", 20)
+            outcomes = bench._run_dataset(ds, ["interaction_homo"], k=None, k_star=20, n_iter=5)
+            assert len(refs) == 6 and all(ref() is None for ref in refs)
+        finally:
+            gc.enable()
+        assert info.value is not None
+        assert str(outcomes[0][0]).startswith("selection failed: ") and outcomes[0][1] is None
 
     def test_homo_hetero_b_blocks_agree_on_homoscedastic_data(self):
         # with homoscedastic noise the covariance shift is ~sigma^2 I, which
