@@ -70,6 +70,20 @@ def replicate_seed(base_seed: int, sweep_param: str, value: float, rep: int) -> 
     return int.from_bytes(hashlib.sha256(text.encode()).digest()[:8], "big")
 
 
+def _check_methods(methods) -> None:
+    if not methods:
+        raise DataError("methods list must be nonempty")
+    for method in methods:
+        if method not in METHODS:
+            raise DataError(f"unknown method tag {method!r}")
+
+
+def _check_positive(value: int | None, name: str) -> None:
+    """DataError unless value is None or a positive integer."""
+    if value is not None and value < 1:
+        raise DataError(f"{name} must be a positive integer, got {value}")
+
+
 @dataclass(frozen=True)
 class ExperimentGrid:
     """One benchmark sweep: base config, swept parameter, methods, policy."""
@@ -93,13 +107,10 @@ class ExperimentGrid:
             raise DataError("sweep list must be nonempty")
         if self.replicates < 1:
             raise DataError("replicates must be >= 1")
-        if not self.methods:
-            raise DataError("methods list must be nonempty")
-        for method in self.methods:
-            if method not in METHODS:
-                raise DataError(f"unknown method tag {method!r}")
+        _check_methods(self.methods)
         if self.k_policy not in K_POLICIES:
             raise DataError(f"k policy must be one of {K_POLICIES}")
+        _check_positive(self.k_star, "k_star")
         estimators._check_n_iter(self.n_iter)
 
     def config_for(self, value: float, rep: int) -> SimulationConfig:
@@ -204,13 +215,14 @@ def _run_dataset(
     """(estimate or error, k_used) of each method on one dataset, through one shared stage.
 
     An error names its step, or starts "selection failed: ". With k None, K
-    is selected per selector family, bounded by k_star (default:
-    default_k_star). An invalid k or n_iter raises DataError at once.
+    is selected per selector family, bounded by k_star (None: default_k_star).
+    An invalid k, k_star or n_iter raises DataError at once.
     """
-    if k is not None and k < 1:
-        raise DataError(f"k must be a positive integer, got {k}")
+    _check_positive(k, "k")
+    _check_positive(k_star, "k_star")
     estimators._check_n_iter(n_iter)
-    k_star = k_star or spectral.default_k_star(dataset.n, dataset.m)
+    if k_star is None:
+        k_star = spectral.default_k_star(dataset.n, dataset.m)
     outcomes = []
     with closing(estimators._Stage(dataset)) as stage:
         for method in methods:
@@ -252,8 +264,7 @@ def _run_bundle(job: tuple[ExperimentGrid, float, int]) -> list[CellResult]:
 
 def _map(fn, jobs: list, workers: int) -> list:
     """fn over jobs, in order: in this process, or in a pool of `workers` processes."""
-    if workers < 1:
-        raise DataError(f"workers must be a positive integer, got {workers}")
+    _check_positive(workers, "workers")
     if workers == 1:
         return [fn(job) for job in jobs]
     with ProcessPoolExecutor(max_workers=workers) as pool:
@@ -393,7 +404,6 @@ def cross_validate(
     dataset: Dataset,
     folds: int,
     methods: list[str],
-    k_policy: str = "selected",
     k: int | None = None,
     k_star: int | None = None,
     n_iter: int = estimators.DEFAULT_N_ITER,
@@ -402,28 +412,23 @@ def cross_validate(
     """K-fold prediction error for each method.
 
     Fits on the training rows of every fold and evaluates the projected
-    estimate's log prediction MSE on the held-out rows. Under the
-    "selected" policy the rank is re-chosen on each training split, so
-    no information leaks from the held-out rows. Invalid arguments raise
-    DataError before any fit; a fit that fails is recorded with its
-    step, and the other folds and methods carry on.
+    estimate's log prediction MSE on the held-out rows. An integer k is
+    used as the known rank; with k None the rank is selected on each
+    training split, bounded by k_star, so no information leaks from the
+    held-out rows. Invalid arguments raise DataError before any fit; a
+    fit that fails is recorded with its step, and the other folds and
+    methods carry on.
     """
-    if k_policy not in K_POLICIES:
-        raise DataError(f"k policy must be one of {K_POLICIES}")
-    if k_policy == "known" and k is None:
-        raise DataError("k policy 'known' requires k")
-    for method in methods:
-        if method not in METHODS:
-            raise DataError(f"unknown method tag {method!r}")
-        if method == "oracle":
-            raise DataError("the oracle method needs the ground truth; it cannot be cross-validated")
+    _check_methods(methods)
+    if "oracle" in methods:
+        raise DataError("the oracle method needs the ground truth; it cannot be cross-validated")
     records = []
     for fold, held_out in enumerate(fold_indices(dataset.n, folds, seed)):
         mask = np.ones(dataset.n, dtype=bool)
         mask[held_out] = False
         train = Dataset(X=dataset.X[mask], Y=dataset.Y[mask])
         test = Dataset(X=dataset.X[held_out], Y=dataset.Y[held_out])
-        outcomes = _run_dataset(train, methods, k=k if k_policy == "known" else None, k_star=k_star, n_iter=n_iter)
+        outcomes = _run_dataset(train, methods, k=k, k_star=k_star, n_iter=n_iter)
         for method, (est, k_used) in zip(methods, outcomes):
             if isinstance(est, Exception):
                 records.append(CVFoldResult(fold, method, None, k_used, error=str(est)))

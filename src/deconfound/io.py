@@ -1,4 +1,4 @@
-"""CSV and JSON serialization for datasets, ground truths, and fits.
+"""CSV and JSON serialization for datasets, ground truths, and reports.
 
 Matrices serialize to JSON objects {"shape": [...], "data": [...]} with
 row-major data. All numeric text output uses 17 significant digits so
@@ -14,7 +14,7 @@ from typing import Any
 import numpy as np
 
 from .errors import DataError
-from .model import CovarianceFit, Dataset, DebiasedEstimate, FirstStageFit, GroundTruth, NoiseSpec
+from .model import Dataset, GroundTruth, NoiseSpec
 
 FLOAT_FMT = "%.17g"
 
@@ -93,59 +93,6 @@ def ground_truth_from_obj(obj: dict[str, Any]) -> GroundTruth:
         raise DataError(f"ground truth document missing field {err}") from err
 
 
-def first_stage_to_obj(fit: FirstStageFit) -> dict[str, Any]:
-    return {
-        "l1": matrix_to_obj(fit.L1),
-        "l2": matrix_to_obj(fit.L2),
-        "residuals": matrix_to_obj(fit.residuals),
-    }
-
-
-def first_stage_from_obj(obj: dict[str, Any]) -> FirstStageFit:
-    return FirstStageFit(
-        L1=obj_to_matrix(obj["l1"]),
-        L2=obj_to_matrix(obj["l2"]),
-        residuals=obj_to_matrix(obj["residuals"]),
-    )
-
-
-def covariance_fit_to_obj(fit: CovarianceFit) -> dict[str, Any]:
-    return {
-        "phi_b": matrix_to_obj(fit.phi_B),
-        "phi_bc": [matrix_to_obj(m_) for m_ in fit.phi_BC],
-        "phi_cc": [
-            {"j": j, "k": k, "matrix": matrix_to_obj(mat)}
-            for (j, k), mat in sorted(fit.phi_CC.items())
-        ],
-    }
-
-
-def covariance_fit_from_obj(obj: dict[str, Any]) -> CovarianceFit:
-    return CovarianceFit(
-        phi_B=obj_to_matrix(obj["phi_b"]),
-        phi_BC=tuple(obj_to_matrix(m_) for m_ in obj["phi_bc"]),
-        phi_CC={(e["j"], e["k"]): obj_to_matrix(e["matrix"]) for e in obj["phi_cc"]},
-    )
-
-
-def estimate_to_obj(est: DebiasedEstimate) -> dict[str, Any]:
-    return {
-        "theta": matrix_to_obj(est.theta),
-        "method": est.method,
-        "k_used": est.k_used,
-        "t_used": est.t_used,
-    }
-
-
-def estimate_from_obj(obj: dict[str, Any]) -> DebiasedEstimate:
-    return DebiasedEstimate(
-        theta=obj_to_matrix(obj["theta"]),
-        method=obj["method"],
-        k_used=obj.get("k_used"),
-        t_used=obj.get("t_used"),
-    )
-
-
 def write_json(path: str | Path, obj: dict[str, Any]) -> None:
     Path(path).write_text(json.dumps(obj, indent=2) + "\n")
 
@@ -169,14 +116,6 @@ def metric_to_json_value(x: float | None) -> float | str | None:
     if np.isnan(x):
         return "nan"
     return "-inf" if x < 0 else "inf"
-
-
-def metric_from_json_value(v: float | str | None) -> float | None:
-    if v is None:
-        return None
-    if isinstance(v, str):
-        return float(v)
-    return float(v)
 
 
 def format_metric(x: float | None) -> str:

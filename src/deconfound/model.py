@@ -94,12 +94,7 @@ def validate(dataset: Dataset) -> None:
     Constructed Dataset objects are already validated; this is the public
     hook for callers holding one of unknown provenance.
     """
-    if dataset.X.shape[0] != dataset.Y.shape[0]:
-        raise DimensionMismatchError(
-            f"X and Y must have the same number of rows: {dataset.X.shape[0]} != {dataset.Y.shape[0]}"
-        )
-    _require_finite(dataset.X, "X")
-    _require_finite(dataset.Y, "Y")
+    Dataset(X=dataset.X, Y=dataset.Y)
 
 
 @dataclass(frozen=True)

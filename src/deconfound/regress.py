@@ -6,8 +6,6 @@ the explicit normal-equations path lives only in the test suite as an oracle.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .errors import DimensionMismatchError, NonFiniteError, NumericalError, RankDeficientError
@@ -18,7 +16,6 @@ from .model import (
     FirstStageFit,
     ProjectionBasis,
     _require_finite,
-    interaction_pair_count,
 )
 
 #: Relative singular-value cutoff below which a design counts as rank deficient.
@@ -30,44 +27,20 @@ def interaction_pairs(p: int) -> tuple[tuple[int, int], ...]:
     return tuple((j, k) for j in range(p) for k in range(j, p))
 
 
-@dataclass(frozen=True)
-class ExpandedDesign:
-    """Design matrix with all linear and pairwise interaction columns.
+def expand_interactions(X: np.ndarray) -> np.ndarray:
+    """The n x q design: X, then the p(p+1)/2 pairwise products X_j * X_k, j <= k.
 
     Column c < p is the linear term X_c; column p + i is the product
-    X_j * X_k for pairs[i] = (j, k).
+    X_j * X_k of the i-th pair (j, k) of interaction_pairs(p), so
+    q = p + p(p+1)/2.
     """
-
-    matrix: np.ndarray
-    p: int
-    pairs: tuple[tuple[int, int], ...]
-
-    def __post_init__(self):
-        q = self.p + interaction_pair_count(self.p)
-        if self.matrix.shape[1] != q:
-            raise DimensionMismatchError(
-                f"expanded design must have q = {q} columns, got {self.matrix.shape[1]}"
-            )
-        if self.pairs != interaction_pairs(self.p):
-            raise DimensionMismatchError("pair map out of lexicographic order")
-
-    @property
-    def q(self) -> int:
-        return self.matrix.shape[1]
-
-
-def expand_interactions(X: np.ndarray) -> ExpandedDesign:
-    """Augment X with the p(p+1)/2 pairwise products X_j * X_k, j <= k."""
     X = np.asarray(X, dtype=float)
     if X.ndim != 2:
         raise DimensionMismatchError(f"X must be 2-d, got shape {X.shape}")
     if not np.all(np.isfinite(X)):
         raise NonFiniteError("X contains non-finite entries")
-    p = X.shape[1]
-    pairs = interaction_pairs(p)
-    products = [X[:, j] * X[:, k] for j, k in pairs]
-    matrix = np.column_stack([X] + products) if products else X.copy()
-    return ExpandedDesign(matrix=matrix, p=p, pairs=pairs)
+    products = [X[:, j] * X[:, k] for j, k in interaction_pairs(X.shape[1])]
+    return np.column_stack([X] + products) if products else X.copy()
 
 
 def _check_conditioning(singular_values: np.ndarray, what: str) -> None:
@@ -115,14 +88,14 @@ def fit_first_stage(dataset: Dataset) -> FirstStageFit:
     the residual matrix Y - fitted.
     """
     design = expand_interactions(dataset.X)
-    n, q = design.matrix.shape
+    n, q = design.shape
     if n <= q:
         raise NumericalError(
             f"first stage needs n > p + p(p+1)/2: n = {n}, q = {q}"
         )
-    coef = least_squares(design.matrix, dataset.Y)
-    residuals = dataset.Y - design.matrix @ coef
-    return FirstStageFit(L1=coef[: design.p], L2=coef[design.p :], residuals=residuals)
+    coef = least_squares(design, dataset.Y)
+    residuals = dataset.Y - design @ coef
+    return FirstStageFit(L1=coef[: dataset.p], L2=coef[dataset.p :], residuals=residuals)
 
 
 def _covariance_weights(fit: FirstStageFit, X: np.ndarray) -> np.ndarray:
@@ -132,7 +105,7 @@ def _covariance_weights(fit: FirstStageFit, X: np.ndarray) -> np.ndarray:
         raise DimensionMismatchError(
             f"X must be ({n}, {fit.p}) to match the first-stage fit, got {np.shape(X)}"
         )
-    design = np.column_stack([np.ones(n), expand_interactions(X).matrix])
+    design = np.column_stack([np.ones(n), expand_interactions(X)])
     if n <= design.shape[1]:
         raise NumericalError(
             f"covariance regression needs n > 1 + p + p(p+1)/2: n = {n}, "

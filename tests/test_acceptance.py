@@ -77,7 +77,7 @@ def test_criterion_02_brute_force_equivalence():
 
         # stage 1: interaction regression
         first = fit_first_stage(ds)
-        design = expand_interactions(ds.X).matrix
+        design = expand_interactions(ds.X)
         direct = normal_equations(design, ds.Y)
         worst = max(worst, float(np.max(np.abs(np.vstack([first.L1, first.L2]) - direct))))
 

@@ -217,6 +217,9 @@ class TestRunGrid:
             _tiny_grid(sweep_param="n")
         with pytest.raises(DataError, match="n_iter"):
             _tiny_grid(n_iter=0)
+        for k_star in (0, -1):
+            with pytest.raises(DataError, match="k_star"):
+                _tiny_grid(k_policy="selected", k_star=k_star)
 
 
 class TestRunKSelection:
@@ -271,7 +274,7 @@ class TestCrossValidate:
         x = rng.standard_normal((40, 2))
         theta = rng.standard_normal((2, 5))
         ds = Dataset(X=x, Y=x @ theta)
-        report = cross_validate(ds, folds=4, methods=["ols"], k_policy="known", k=1)
+        report = cross_validate(ds, folds=4, methods=["ols"], k=1)
         # exact -inf when residuals cancel to zero, numerically tiny otherwise
         assert report.mean_pmse_log("ols") < -60.0
 
@@ -279,7 +282,7 @@ class TestCrossValidate:
         cfg = SimulationConfig(n=60, m=10, p=2, k=2, seed=12)
         ds, _ = generate(cfg)
         report = cross_validate(
-            ds, folds=3, methods=["ols", "interaction_homo"], k_policy="known", k=2
+            ds, folds=3, methods=["ols", "interaction_homo"], k=2
         )
         assert report.methods() == ("ols", "interaction_homo")
         assert len(report.records) == 6
@@ -290,7 +293,7 @@ class TestCrossValidate:
         cfg = SimulationConfig(n=80, m=10, p=2, k=2, seed=13)
         ds, _ = generate(cfg)
         report = cross_validate(
-            ds, folds=4, methods=["non_interaction_homo"], k_policy="selected", k_star=3
+            ds, folds=4, methods=["non_interaction_homo"], k_star=3
         )
         for rec in report.records:
             assert 1 <= rec.k_used <= 3
@@ -299,7 +302,7 @@ class TestCrossValidate:
         cfg = SimulationConfig(n=60, m=10, p=2, k=2, seed=14)
         ds, _ = generate(cfg)
         with pytest.raises(DataError):
-            cross_validate(ds, folds=3, methods=["oracle"], k_policy="known", k=2)
+            cross_validate(ds, folds=3, methods=["oracle"], k=2)
 
     def test_large_m_small_n_interaction_beats_ols(self):
         # mirrors the large-m prediction finding: on a simulated m >> n
@@ -307,15 +310,9 @@ class TestCrossValidate:
         cfg = SimulationConfig(n=100, m=500, p=2, k=3, eta_dep=0.5, seed=16)
         ds, _ = generate(cfg)
         report = cross_validate(
-            ds, folds=10, methods=["ols", "interaction_homo"], k_policy="known", k=3
+            ds, folds=10, methods=["ols", "interaction_homo"], k=3
         )
         assert report.mean_pmse_log("interaction_homo") < report.mean_pmse_log("ols")
-
-    def test_known_policy_requires_k(self):
-        cfg = SimulationConfig(n=60, m=10, p=2, k=2, seed=15)
-        ds, _ = generate(cfg)
-        with pytest.raises(DataError):
-            cross_validate(ds, folds=3, methods=["ols"], k_policy="known")
 
     def test_failing_folds_recorded_not_fatal(self):
         # training splits of 6 rows pass the first stage (n > 5) but not the
@@ -323,7 +320,7 @@ class TestCrossValidate:
         rng = np.random.default_rng(17)
         ds = Dataset(X=rng.standard_normal((8, 2)), Y=rng.standard_normal((8, 5)))
         report = cross_validate(
-            ds, folds=4, methods=["ols", "interaction_homo"], k_policy="known", k=1
+            ds, folds=4, methods=["ols", "interaction_homo"], k=1
         )
         assert len(report.records) == 8 and report.failure_count() == 4
         for rec in report.records:
@@ -341,6 +338,7 @@ class TestCrossValidate:
             dict(methods=["ols", "interaction_homo"], k=0),
             dict(methods=["ols", "interaction_hetero"], k=2, n_iter=0),
             dict(methods=["ols", "lasso"], k=2),
+            dict(methods=["ols", "interaction_homo"], k_star=0),
         ],
     )
     def test_argument_errors_raised_before_any_fit(self, monkeypatch, overrides):
@@ -348,6 +346,17 @@ class TestCrossValidate:
         monkeypatch.setattr(regress, "fit_projected_ols", lambda *a, **kw: fits.append(a))
         ds, _ = generate(SimulationConfig(n=60, m=10, p=2, k=2, seed=18))
         with pytest.raises(DataError):
-            cross_validate(ds, folds=3, k_policy="known", **overrides)
+            cross_validate(ds, folds=3, **overrides)
         assert fits == []
+
+    def test_integer_k_is_used(self):
+        ds, _ = generate(SimulationConfig(n=60, m=10, p=2, k=2, seed=19))
+        report = cross_validate(ds, 3, ["interaction_homo"], k=2)
+        assert [rec.k_used for rec in report.records] == [2, 2, 2]
+        assert report.failure_count() == 0
+
+    def test_empty_methods_rejected(self):
+        ds, _ = generate(SimulationConfig(n=60, m=10, p=2, k=2, seed=19))
+        with pytest.raises(DataError, match="nonempty"):
+            cross_validate(ds, 3, [], k=2)
 

@@ -184,6 +184,14 @@ class TestBenchmarkCommand:
         assert code == 2
         assert not out.exists()
 
+    def test_negative_k_star_exits_2_without_report(self, tmp_path):
+        out = tmp_path / "bench"
+        code = main([
+            "benchmark", "--setting", "1", "--sweep", "eta_dep=0.5", "--replicates", "1",
+            "--methods", "interaction_homo", "--k", "auto", "--k-star", "-1", "--out", str(out),
+        ])
+        assert code == 2
+        assert not out.exists()
 
     def test_zero_workers_exits_2_without_report(self, tmp_path):
         out = tmp_path / "bench"
@@ -206,6 +214,12 @@ class TestSelectKCommand:
         report = json.loads((out / "k_selection.json").read_text())
         assert report["k_star"] == 2
         assert len(report["records"]) == 4
+
+    def test_zero_k_star_exits_2(self, tmp_path):
+        out = tmp_path / "ksel"
+        code = main(["select-k", "--k-star", "0", "--replicates", "1", "--out", str(out)])
+        assert code == 2
+        assert not out.exists()
 
 
 class TestCVCommand:

@@ -5,14 +5,7 @@ import pytest
 
 from deconfound import io
 from deconfound.errors import DataError
-from deconfound.model import (
-    CovarianceFit,
-    Dataset,
-    DebiasedEstimate,
-    FirstStageFit,
-    SimulationConfig,
-)
-from deconfound.regress import fit_covariance_regression, fit_first_stage
+from deconfound.model import SimulationConfig
 from deconfound.simulate import generate
 
 
@@ -71,33 +64,6 @@ class TestJSONDocuments:
         assert np.array_equal(truth.tau2, back.tau2)
         assert truth.noise == back.noise
 
-    def test_first_stage_round_trip(self):
-        cfg = SimulationConfig(n=30, m=6, p=2, k=1, seed=3)
-        ds, _ = generate(cfg)
-        fit = fit_first_stage(ds)
-        back = io.first_stage_from_obj(json.loads(json.dumps(io.first_stage_to_obj(fit))))
-        assert np.array_equal(fit.L1, back.L1)
-        assert np.array_equal(fit.L2, back.L2)
-        assert np.array_equal(fit.residuals, back.residuals)
-
-    def test_covariance_fit_round_trip(self):
-        cfg = SimulationConfig(n=30, m=5, p=2, k=1, seed=4)
-        ds, _ = generate(cfg)
-        fit = fit_covariance_regression(fit_first_stage(ds), ds.X)
-        back = io.covariance_fit_from_obj(json.loads(json.dumps(io.covariance_fit_to_obj(fit))))
-        assert np.array_equal(fit.phi_B, back.phi_B)
-        for pair in fit.phi_CC:
-            assert np.array_equal(fit.phi_CC[pair], back.phi_CC[pair])
-
-    def test_estimate_round_trip(self):
-        est = DebiasedEstimate(
-            theta=np.array([[1.0, -2.5], [0.125, 3.0]]), method="interaction_hetero",
-            k_used=2, t_used=5,
-        )
-        back = io.estimate_from_obj(json.loads(json.dumps(io.estimate_to_obj(est))))
-        assert np.array_equal(est.theta, back.theta)
-        assert (back.method, back.k_used, back.t_used) == ("interaction_hetero", 2, 5)
-
     def test_malformed_matrix(self):
         with pytest.raises(DataError):
             io.obj_to_matrix({"shape": [2, 2], "data": [1.0]})
@@ -106,15 +72,13 @@ class TestJSONDocuments:
 class TestMetricFormatting:
     def test_minus_inf_as_string(self):
         assert io.metric_to_json_value(float("-inf")) == "-inf"
-        assert io.metric_from_json_value("-inf") == float("-inf")
 
     def test_finite_round_trip(self):
         x = -1.2345678901234567
-        assert io.metric_from_json_value(io.metric_to_json_value(x)) == x
+        assert json.loads(json.dumps(io.metric_to_json_value(x))) == x
 
     def test_none_passthrough(self):
         assert io.metric_to_json_value(None) is None
-        assert io.metric_from_json_value(None) is None
 
     def test_csv_cell(self):
         assert io.format_metric(None) == ""

@@ -20,16 +20,16 @@ class TestExpandInteractions:
     def test_column_count_p2(self):
         X = np.arange(8.0).reshape(4, 2)
         design = expand_interactions(X)
-        assert design.q == 5
+        assert design.shape[1] == 5
 
     def test_p1_squares(self):
         design = expand_interactions(np.array([[2.0], [3.0]]))
-        assert np.array_equal(design.matrix, np.array([[2.0, 4.0], [3.0, 9.0]]))
+        assert np.array_equal(design, np.array([[2.0, 4.0], [3.0, 9.0]]))
 
     def test_p3_pair_order(self):
         design = expand_interactions(np.zeros((2, 3)))
-        assert design.q == 9
-        assert design.pairs == ((0, 0), (0, 1), (0, 2), (1, 1), (1, 2), (2, 2))
+        assert design.shape[1] == 9
+        assert interaction_pairs(3) == ((0, 0), (0, 1), (0, 2), (1, 1), (1, 2), (2, 2))
 
     def test_quadratic_scaling(self):
         rng = np.random.default_rng(3)
@@ -38,13 +38,13 @@ class TestExpandInteractions:
             scaled = expand_interactions(c * X)
             base = expand_interactions(X)
             p = 3
-            assert np.allclose(scaled.matrix[:, p:], c**2 * base.matrix[:, p:])
-            assert np.allclose(scaled.matrix[:, :p], c * base.matrix[:, :p])
+            assert np.allclose(scaled[:, p:], c**2 * base[:, p:])
+            assert np.allclose(scaled[:, :p], c * base[:, :p])
 
     def test_deterministic(self):
         rng = np.random.default_rng(4)
         X = rng.standard_normal((5, 2))
-        assert np.array_equal(expand_interactions(X).matrix, expand_interactions(X).matrix)
+        assert np.array_equal(expand_interactions(X), expand_interactions(X))
 
 
 class TestLeastSquares:
@@ -92,7 +92,7 @@ class TestFirstStage:
         l1 = rng.standard_normal((p, m))
         l2 = rng.standard_normal((3, m))
         design = expand_interactions(X)
-        Y = design.matrix @ np.vstack([l1, l2])
+        Y = design @ np.vstack([l1, l2])
         fit = fit_first_stage(Dataset(X=X, Y=Y))
         assert np.max(np.abs(fit.L1 - l1)) < 1e-8
         assert np.max(np.abs(fit.L2 - l2)) < 1e-8
@@ -109,7 +109,7 @@ class TestFirstStage:
         cfg = SimulationConfig(n=200, m=6, p=2, k=2, seed=31)
         ds, _ = generate(cfg)
         fit = fit_first_stage(ds)
-        design = expand_interactions(ds.X).matrix
+        design = expand_interactions(ds.X)
         oracle_resid = ds.Y - design @ normal_equations(design, ds.Y)
         assert np.max(np.abs(fit.residuals - oracle_resid)) < 1e-8
 
@@ -117,7 +117,7 @@ class TestFirstStage:
         cfg = SimulationConfig(n=150, m=7, p=2, k=2, seed=32)
         ds, _ = generate(cfg)
         fit = fit_first_stage(ds)
-        design = expand_interactions(ds.X).matrix
+        design = expand_interactions(ds.X)
         assert np.max(np.abs(design.T @ fit.residuals)) < 1e-7 * np.linalg.norm(ds.Y)
 
 
@@ -150,7 +150,7 @@ class TestCovarianceRegression:
         ds, _ = generate(cfg)
         first = fit_first_stage(ds)
         cov = fit_covariance_regression(first, ds.X)
-        design = np.column_stack([np.ones(ds.n), expand_interactions(ds.X).matrix])
+        design = np.column_stack([np.ones(ds.n), expand_interactions(ds.X)])
         eps = first.residuals
         for r in range(ds.m):
             for s in range(ds.m):
