@@ -12,7 +12,7 @@ import numpy as np
 
 from . import regress, spectral
 from .errors import DataError, DeconfoundError, DimensionMismatchError, NumericalError
-from .model import METHODS, Dataset, DebiasedEstimate, GroundTruth, ProjectionBasis
+from .model import METHODS, Dataset, DebiasedEstimate, FirstStageFit, GroundTruth, ProjectionBasis
 from .spectral import SpectrumSummary
 
 DEFAULT_N_ITER = 5
@@ -41,11 +41,17 @@ class _Stage:
     again to every later reader, so all of them report the same step.
     close() drops it all, even while an escaped error's traceback holds
     the stage.
+
+    At n < m every surface lies in the n-dimensional row space of its
+    residuals, so top-k eigenvectors come from n x n cores (see _top_k)
+    and the m x m surfaces are built only for the selector, HeteroPCA and
+    the fallback.
     """
 
     def __init__(self, dataset: Dataset):
         self.dataset = dataset
         self.names = ["phi_B"] + [f"phi_C[{j}]" for j in range(dataset.p)]
+        self.factored = dataset.n < dataset.m
         self._memo: dict = {}
 
     def close(self) -> None:
@@ -61,16 +67,53 @@ class _Stage:
             raise self._memo[key]
         return self._memo[key]
 
+    def _shared(self, key, compute):
+        """compute() kept at n < m, where the surfaces and the cores both read it."""
+        return self._once(key, compute) if self.factored else compute()
+
+    def _first(self) -> FirstStageFit:
+        return self._shared("first", lambda: _first_stage(self.dataset))
+
+    def _linear(self) -> np.ndarray:
+        return self._shared("linear", lambda: _linear_residuals(self.dataset))
+
     def surfaces(self) -> list[np.ndarray]:
-        return self._once("surfaces", lambda: _interaction_surfaces(self.dataset))
+        return self._once("surfaces", lambda: _diagonal_surfaces(self._first(), self.dataset.X))
+
+    def _cores(self) -> list[tuple[np.ndarray, np.ndarray]]:
+        return self._once("cores", lambda: _diagonal_cores(self._first(), self.dataset.X))
 
     def top_k(self, i: int, k: int) -> np.ndarray:
-        """Top-k eigenvectors of surface i: 0 is phi_B, j + 1 is phi_C(j)."""
-        surface = self.surfaces()[i]
-        return self._once(("top_k", i, k), lambda: spectral.top_k_eigenvectors(surface, k, source=self.names[i])[0])
+        """Top-k eigenvectors of surface i: 0 is phi_B, j + 1 is phi_C(j). Raises step-4 errors."""
+        return self._once(
+            ("top_k", i, k), lambda: self._top_k(lambda: self._cores()[i], lambda: self.surfaces()[i], k, self.names[i])
+        )
 
     def mean_outer_product(self) -> np.ndarray:
-        return self._once("mean", lambda: _mean_outer_product(self.dataset))
+        return self._once("mean", lambda: _mean_outer_product(self._linear(), self.dataset.n))
+
+    def mean_top_k(self, k: int) -> np.ndarray:
+        """Top-k eigenvectors of the mean outer product. Raises step-4 errors."""
+        return self._top_k(lambda: _mean_core(self._linear(), self.dataset.n), self.mean_outer_product, k, "phi_B")
+
+    def _top_k(self, factor, surface, k: int, source: str) -> np.ndarray:
+        """Top-k eigenvectors of surface(); at n < m from factor() = (Q, core), surface = Q core Q^T.
+
+        The core's eigenvectors, mapped by Q, are the surface's when its
+        k-th eigenvalue is positive beyond round-off (SV_RTOL of its
+        largest |eigenvalue|). Otherwise the surface's top k reach its
+        null space, and they come from surface() as at n >= m.
+        """
+        if self.factored and k <= self.dataset.n:
+            q, core = factor()
+            with _step(4, "eigenspace extraction"):
+                v, spectrum = spectral.top_k_eigenvectors(core, k, source=source)
+            vals = spectrum.eigenvalues
+            if vals[k - 1] > regress.SV_RTOL * np.max(np.abs(vals)):
+                return spectral.fix_signs(q @ v)
+        matrix = surface()
+        with _step(4, "eigenspace extraction"):
+            return spectral.top_k_eigenvectors(matrix, k, source=source)[0]
 
     def spectra(self, selector: str) -> list[SpectrumSummary]:
         """What the selector family reads: every interaction surface, or the mean outer product."""
@@ -82,20 +125,45 @@ class _Stage:
         return self._once(("k", selector, k_star), lambda: spectral.select_k(self.spectra(selector), k_star))
 
 
-def _interaction_surfaces(dataset: Dataset) -> list[np.ndarray]:
-    """Steps 1 and 3 of the interaction model: [phi_B, phi_C(0), ..., phi_C(p-1)]."""
+def _first_stage(dataset: Dataset) -> FirstStageFit:
+    """Step 1 of the interaction model."""
     with _step(1, "interaction regression"):
-        first = regress.fit_first_stage(dataset)
+        return regress.fit_first_stage(dataset)
+
+
+def _diagonal_surfaces(first: FirstStageFit, X: np.ndarray) -> list[np.ndarray]:
+    """Step 3 of the interaction model: [phi_B, phi_C(0), ..., phi_C(p-1)]."""
     with _step(3, "covariance regression"):
-        return regress.fit_diagonal_surfaces(first, dataset.X)
+        return regress.fit_diagonal_surfaces(first, X)
 
 
-def _mean_outer_product(dataset: Dataset) -> np.ndarray:
-    """Averaged residual outer product of the linear fit of Y on X."""
+def _diagonal_cores(first: FirstStageFit, X: np.ndarray) -> list[tuple[np.ndarray, np.ndarray]]:
+    """Step 3 in the residuals' row space: (Q, core) of each of those surfaces."""
+    with _step(3, "covariance regression"):
+        return regress.fit_diagonal_cores(first, X)
+
+
+def _linear_residuals(dataset: Dataset) -> np.ndarray:
+    """Residuals of the linear fit of Y on X."""
     with _step(1, "linear regression"):
         theta_lin = regress.least_squares(dataset.X, dataset.Y)
-    eps = dataset.Y - dataset.X @ theta_lin
-    return (eps.T @ eps) / dataset.n
+    return dataset.Y - dataset.X @ theta_lin
+
+
+def _mean_outer_product(eps: np.ndarray, n: int) -> np.ndarray:
+    """Averaged outer product of the linear fit's residuals."""
+    return (eps.T @ eps) / n
+
+
+def _mean_core(eps: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """(Q, core) with eps^T = Q R, so the mean outer product is Q (R R^T / n) Q^T."""
+    q, r = np.linalg.qr(eps.T)
+    return q, (r @ r.T) / n
+
+
+def _hetero_pca(phi_b: np.ndarray, k: int, n_iter: int) -> np.ndarray:
+    with _step(4, "eigenspace extraction"):
+        return spectral.hetero_pca(phi_b, k, n_iter)
 
 
 def fit_homoscedastic(dataset: Dataset, k: int) -> DebiasedEstimate:
@@ -210,18 +278,15 @@ def _fit(stage: _Stage, method: str, k: int | None, n_iter: int | None, truth: G
     if method.startswith("interaction"):
         if (dataset.p + 1) * k > dataset.m:
             raise NumericalError(f"(p+1)*K = {(dataset.p + 1) * k} exceeds m = {dataset.m}; cannot project out that many directions")
-        phi_b = stage.surfaces()[0]
+        u_b = _hetero_pca(stage.surfaces()[0], k, n_iter) if hetero else stage.top_k(0, k)
+        blocks = [u_b] + [stage.top_k(j, k) for j in range(1, dataset.p + 1)]
         with _step(4, "eigenspace extraction"):
-            u_b = spectral.hetero_pca(phi_b, k, n_iter) if hetero else stage.top_k(0, k)
-            basis = spectral.build_projection([u_b] + [stage.top_k(j, k) for j in range(1, dataset.p + 1)])
+            basis = spectral.build_projection(blocks)
     else:
         if k > dataset.m:
             raise NumericalError(f"k = {k} exceeds m = {dataset.m}")
         if dataset.n <= dataset.p:
             raise NumericalError(f"need n > p: n = {dataset.n}, p = {dataset.p}")
-        phi_b = stage.mean_outer_product()
-        with _step(4, "eigenspace extraction"):
-            u_b = spectral.hetero_pca(phi_b, k, n_iter) if hetero else spectral.top_k_eigenvectors(phi_b, k, "phi_B")[0]
-        basis = ProjectionBasis(U=u_b)
+        basis = ProjectionBasis(U=_hetero_pca(stage.mean_outer_product(), k, n_iter) if hetero else stage.mean_top_k(k))
     with _step(5, "projected least squares"):
         return regress.fit_projected_ols(dataset, basis, method=method, k_used=k, t_used=n_iter if hetero else None)

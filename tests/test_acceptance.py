@@ -8,19 +8,15 @@ tests for the fast per-operation checks.
 import itertools
 
 import numpy as np
-import pytest
 from conftest import assert_projector_properties, normal_equations, random_orthonormal
 
-from deconfound import io
 from deconfound.bench import ExperimentGrid, replicate_seed, run_grid, run_k_selection
 from deconfound.cli import main
 from deconfound.estimators import (
     fit_homoscedastic,
-    fit_non_interaction,
     oracle_basis,
 )
 from deconfound.model import (
-    Dataset,
     GroundTruth,
     NoiseSpec,
     ProjectionBasis,
@@ -32,7 +28,7 @@ from deconfound.regress import (
     fit_first_stage,
     fit_projected_ols,
 )
-from deconfound.simulate import _draw_noise, _rng, ar_covariance, generate
+from deconfound.simulate import _draw_noise, ar_covariance, generate
 from deconfound.spectral import build_projection, hetero_pca, sin_theta, top_k_eigenvectors
 
 WORKERS = 2

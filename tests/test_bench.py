@@ -2,7 +2,6 @@ import numpy as np
 import pytest
 
 from deconfound.bench import (
-    CellResult,
     ExperimentGrid,
     cross_validate,
     fold_indices,

@@ -3,7 +3,7 @@ import weakref
 
 import numpy as np
 import pytest
-from conftest import normal_equations, random_orthonormal
+from conftest import normal_equations
 
 from deconfound.errors import (
     DataError,
@@ -370,6 +370,117 @@ class TestSpectraHelpers:
         spectrum = non_interaction_spectrum(ds)
         assert spectrum.eigenvalues.size == 10
         assert np.all(np.diff(spectrum.eigenvalues) <= 0)
+
+
+class TestRowSpaceCore:
+    """At n < m the top-k blocks come from the residuals' n x n cores; each check is against the m x m surfaces."""
+
+    @staticmethod
+    def _surfaces(ds):
+        cov = fit_covariance_regression(fit_first_stage(ds), ds.X)
+        return [cov.phi_B] + [cov.phi_C(j) for j in range(ds.p)]
+
+    @staticmethod
+    def _mean(ds):
+        eps = ds.Y - ds.X @ regress.least_squares(ds.X, ds.Y)
+        return (eps.T @ eps) / ds.n
+
+    @pytest.mark.parametrize("p", [2, 3])
+    @pytest.mark.filterwarnings("ignore::deconfound.errors.DegenerateBasisWarning")
+    def test_blocks_match_the_surfaces(self, monkeypatch, p):
+        ds, _ = generate(SimulationConfig(n=40, m=60, p=p, k=3, seed=20))
+        surfaces = self._surfaces(ds)
+        blocks, bases = [], []
+        build, project = spectral.build_projection, regress.fit_projected_ols
+
+        def recording_build(parts):
+            blocks.append(parts)
+            return build(parts)
+
+        def recording_project(dataset, basis, **kwargs):
+            bases.append(basis.U)
+            return project(dataset, basis, **kwargs)
+
+        monkeypatch.setattr(spectral, "build_projection", recording_build)
+        monkeypatch.setattr(regress, "fit_projected_ols", recording_project)
+        # k = 15 exceeds every phi_C(j) core's positive count but not phi_B's: a mixed basis
+        for k in (3, 15):
+            blocks.clear()
+            bases.clear()
+            for method in ("interaction_homo", "interaction_hetero", "non_interaction_homo"):
+                fit_method(ds, method, k=k)
+            (homo, hetero), mean_basis = blocks, bases[-1]
+            for i, surface in enumerate(surfaces):
+                reference = top_k_eigenvectors(surface, k)[0]
+                assert sin_theta(homo[i], reference) <= 1e-10
+                if i > 0:
+                    assert sin_theta(hetero[i], reference) <= 1e-10
+            assert sin_theta(mean_basis, top_k_eigenvectors(self._mean(ds), k)[0]) <= 1e-10
+
+    @pytest.mark.filterwarnings("ignore::deconfound.errors.DegenerateBasisWarning")
+    def test_k_above_the_positive_count_takes_the_surface_path(self):
+        # every interaction core has rank <= n - q = 35 and the mean core
+        # rank <= n - p = 38, so k = 36 and k = 39 fall back block by block
+        # to the m x m surfaces and their null-space eigenvectors
+        ds, _ = generate(SimulationConfig(n=40, m=120, p=2, k=3, seed=21))
+        surfaces = self._surfaces(ds)
+        blocks = [top_k_eigenvectors(surface, 36)[0] for surface in surfaces]
+        homo = fit_projected_ols(ds, build_projection(blocks)).theta
+        hetero = fit_projected_ols(ds, build_projection([hetero_pca(surfaces[0], 36, 5)] + blocks[1:])).theta
+        assert np.array_equal(fit_method(ds, "interaction_homo", k=36).theta, homo)
+        assert np.array_equal(fit_method(ds, "interaction_hetero", k=36).theta, hetero)
+        mean_basis = ProjectionBasis(U=top_k_eigenvectors(self._mean(ds), 39)[0])
+        assert np.array_equal(fit_method(ds, "non_interaction_homo", k=39).theta, fit_projected_ols(ds, mean_basis).theta)
+
+    def test_known_k_homo_fit_decomposes_no_m_by_m_matrix(self, monkeypatch):
+        ds, _ = generate(SimulationConfig(n=40, m=60, p=2, k=3, seed=22))
+        shapes = []
+        eigh, contract = np.linalg.eigh, regress._contract_outer_products
+
+        def recording_eigh(a, *args, **kwargs):
+            shapes.append(("eigh", np.shape(a)))
+            return eigh(a, *args, **kwargs)
+
+        def recording_contract(*args):
+            surface = contract(*args)
+            shapes.append(("surface", surface.shape))
+            return surface
+
+        monkeypatch.setattr(np.linalg, "eigh", recording_eigh)
+        monkeypatch.setattr(regress, "_contract_outer_products", recording_contract)
+        fit_method(ds, "interaction_homo", k=3)
+        assert len(shapes) == 6 and all(shape == (40, 40) for _, shape in shapes)
+
+    @pytest.mark.parametrize("p", [2, 3])
+    def test_selector_spectra_stay_those_of_the_m_by_m_surfaces(self, p):
+        ds, _ = generate(SimulationConfig(n=40, m=60, p=p, k=3, seed=23))
+        for spectrum, surface in zip(interaction_spectra(ds), self._surfaces(ds)):
+            assert np.array_equal(spectrum.eigenvalues, eigen_spectrum(surface, "ref").eigenvalues)
+        assert np.array_equal(non_interaction_spectrum(ds).eigenvalues, eigen_spectrum(self._mean(ds), "ref").eigenvalues)
+
+    def test_one_first_stage_per_dataset_and_cores_released(self, monkeypatch):
+        ds, truth = generate(SimulationConfig(n=40, m=60, p=2, k=3, seed=24))
+        calls, refs = [], []
+        first, cores = regress.fit_first_stage, regress.fit_diagonal_cores
+
+        def counted_first(*args):
+            calls.append(args)
+            return first(*args)
+
+        def tracked_cores(*args):
+            factors = cores(*args)
+            refs.extend(weakref.ref(core) for _, core in factors)
+            return factors
+
+        monkeypatch.setattr(regress, "fit_first_stage", counted_first)
+        monkeypatch.setattr(regress, "fit_diagonal_cores", tracked_cores)
+        gc.disable()
+        try:
+            outcomes = bench._run_dataset(ds, METHODS, k=3, k_star=None, n_iter=5, truth=truth)
+            assert len(calls) == 1 and len(refs) == 3 and all(ref() is None for ref in refs)
+        finally:
+            gc.enable()
+        assert all(k_used == 3 for _, k_used in outcomes[2:])
 
 
 class TestDefaults:

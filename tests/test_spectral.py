@@ -1,5 +1,3 @@
-import warnings
-
 import numpy as np
 import pytest
 from conftest import assert_projector_properties, random_orthonormal

@@ -13,6 +13,15 @@ with K known. The datasets cover S1 (m=25, n=1000), S2 (m=500, n=100)
 and the stress point (m=500, n=1000), each under homoscedastic and
 alpha=6 heteroscedastic noise, on a fixed seed list.
 
+Each S2 dataset also gets one interaction_homo fit at K = 40, above
+every phi_C(j)'s 25-35 eigenvalues above round-off there, so top-k
+blocks that reach a surface's null space are compared on every run.
+That fit's top-k blocks are compared one by one, not its basis or theta:
+the phi_C(j) blocks share null-space vectors, so their concatenation
+has singular values down to ~1e-15 of the largest (a
+DegenerateBasisWarning), and a 1e-14 change in one block can move the
+final basis by O(1) within either tree.
+
 The script prints the largest sin-theta between the projection bases the
 two trees fit with and the largest relative Frobenius error of theta,
 over every fit of both kinds of call, and whether any K selection, fit
@@ -42,6 +51,9 @@ NOISES = {"homo": ("homoscedastic", 0.0), "alpha6": ("heteroscedastic", 6.0)}
 METHODS = ("ols", "oracle", "interaction_homo", "interaction_hetero", "non_interaction_homo", "non_interaction_hetero")
 SELECTORS = ("interaction", "non_interaction")
 RUNS = ("bundle known", "bundle selected", "cv 3-fold")
+#: Known K of the extra S2 interaction_homo fit: (p+1)K = 120 <= m = 500.
+NULL_SPACE_K = 40
+BLOCKS = f"interaction_homo K={NULL_SPACE_K} blocks"
 #: Test-split rows of each bundle: enough for the metrics, cheap at m = 500.
 N_STAR = 1000
 ONE_THREAD = {name: "1" for name in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")}
@@ -60,11 +72,17 @@ def run_tree(src: str, out_path: str) -> None:
     warnings.simplefilter("ignore")
     captured = []
     fit_projected_ols = regress.fit_projected_ols
+    build_projection = spectral.build_projection
+    blocks = []
 
     def capture_basis(dataset, basis, *args, **kwargs):
         est = fit_projected_ols(dataset, basis, *args, **kwargs)
         captured.append((est.theta, np.array(basis.U)))
         return est
+
+    def capture_blocks(parts):
+        blocks[:] = [np.array(part) for part in parts]
+        return build_projection(parts)
 
     def run(call, rows):
         """Recorded rows and captured fits of one bench call, or its error class name."""
@@ -82,6 +100,7 @@ def run_tree(src: str, out_path: str) -> None:
         return [(f"fold {r.fold} {r.method}", r.k_used, getattr(r, "error", None)) for r in report.records]
 
     regress.fit_projected_ols = capture_basis
+    spectral.build_projection = capture_blocks
     cv_known = {"k": 3}
     if "k_policy" in inspect.signature(bench.cross_validate).parameters:
         cv_known["k_policy"] = "known"  # older trees ignore k unless the policy says so
@@ -100,6 +119,12 @@ def run_tree(src: str, out_path: str) -> None:
                         results[(case, method)] = captured[-1]
                     except (DeconfoundError, np.linalg.LinAlgError) as err:
                         results[(case, method)] = type(err).__name__
+                if setting == "S2":
+                    try:
+                        estimators.fit_method(dataset, "interaction_homo", k=NULL_SPACE_K)
+                        results[(case, BLOCKS)] = list(blocks)
+                    except (DeconfoundError, np.linalg.LinAlgError) as err:
+                        results[(case, BLOCKS)] = type(err).__name__
                 k_star = spectral.default_k_star(n, m)
                 for selector in SELECTORS:
                     try:
@@ -150,15 +175,21 @@ def compare(parent: dict, change: dict) -> int:
     worst_basis, worst_theta = (0.0, "-"), (0.0, "-")
     changed_k, changed_fits, n_selections, n_fits, n_runs = [], [], 0, 0, 0
 
-    def compare_fit(old, new, where: str) -> None:
-        nonlocal worst_basis, worst_theta
-        (theta_old, u_old), (theta_new, u_new) = old, new
+    def compare_basis(u_old, u_new, where: str) -> bool:
+        nonlocal worst_basis
         if u_old.shape != u_new.shape:
             changed_fits.append(f"{where}: basis shape {u_old.shape} -> {u_new.shape}")
-            return
+            return False
         basis = _sin_theta(u_old, u_new) if u_old.shape[1] else 0.0
         if basis > worst_basis[0]:
             worst_basis = (basis, where)
+        return True
+
+    def compare_fit(old, new, where: str) -> None:
+        nonlocal worst_theta
+        (theta_old, u_old), (theta_new, u_new) = old, new
+        if not compare_basis(u_old, u_new, where):
+            return
         rel = float(np.linalg.norm(theta_new - theta_old) / np.linalg.norm(theta_old))
         if rel > worst_theta[0]:
             worst_theta = (rel, where)
@@ -193,6 +224,13 @@ def compare(parent: dict, change: dict) -> int:
                     changed_fits.append(f"{case} {what} {label}: {err_old or 'ok'} -> {err_new or 'ok'}")
             for i, (fit_old, fit_new) in enumerate(zip(fits_old, fits_new)):
                 compare_fit(fit_old, fit_new, f"{case} {what} fit {i}")
+        elif what == BLOCKS:
+            n_fits += 1
+            if _outcome(old) != _outcome(new):
+                changed_fits.append(f"{case} {what}: {_outcome(old)} -> {_outcome(new)}")
+            elif _outcome(old) == "ok":
+                for i, (u_old, u_new) in enumerate(zip(old, new)):
+                    compare_basis(u_old, u_new, f"{case} {what} {i}")
         else:
             n_fits += 1
             if _outcome(old) != _outcome(new):
