@@ -44,8 +44,8 @@ class _Stage:
 
     At n < m every surface lies in the n-dimensional row space of its
     residuals, so top-k eigenvectors come from n x n cores (see _top_k)
-    and the m x m surfaces are built only for the selector, HeteroPCA and
-    the fallback.
+    and an m x m surface is built only when the selector, HeteroPCA or
+    the fallback reads it.
     """
 
     def __init__(self, dataset: Dataset):
@@ -77,16 +77,34 @@ class _Stage:
     def _linear(self) -> np.ndarray:
         return self._shared("linear", lambda: _linear_residuals(self.dataset))
 
+    def _weights(self, first: FirstStageFit) -> np.ndarray:
+        return self._shared("weights", lambda: _diagonal_weights(first, self.dataset.X))
+
+    def _surfaces(self, which: list[int]) -> list[np.ndarray]:
+        first = self._first()
+        return _diagonal_surfaces(first, self._weights(first), which)
+
+    def surface(self, i: int) -> np.ndarray:
+        """The m x m surface i (0 is phi_B, j + 1 is phi_C(j)), built on first read.
+
+        At n >= m every reader reads all of them, so the first read builds
+        them together and the n x m first stage is not kept (keeping it
+        slowed S1 interaction fits by about 15 %).
+        """
+        if self.factored:
+            return self._once(("surface", i), lambda: self._surfaces([i])[0])
+        return self._once("surfaces", lambda: self._surfaces(list(range(len(self.names)))))[i]
+
     def surfaces(self) -> list[np.ndarray]:
-        return self._once("surfaces", lambda: _diagonal_surfaces(self._first(), self.dataset.X))
+        return [self.surface(i) for i in range(len(self.names))]
 
     def _cores(self) -> list[tuple[np.ndarray, np.ndarray]]:
-        return self._once("cores", lambda: _diagonal_cores(self._first(), self.dataset.X))
+        return self._once("cores", lambda: _diagonal_cores(self._first(), self._weights(self._first())))
 
     def top_k(self, i: int, k: int) -> np.ndarray:
-        """Top-k eigenvectors of surface i: 0 is phi_B, j + 1 is phi_C(j). Raises step-4 errors."""
+        """Top-k eigenvectors of surface i. Raises step-4 errors."""
         return self._once(
-            ("top_k", i, k), lambda: self._top_k(lambda: self._cores()[i], lambda: self.surfaces()[i], k, self.names[i])
+            ("top_k", i, k), lambda: self._top_k(lambda: self._cores()[i], lambda: self.surface(i), k, self.names[i])
         )
 
     def mean_outer_product(self) -> np.ndarray:
@@ -131,16 +149,22 @@ def _first_stage(dataset: Dataset) -> FirstStageFit:
         return regress.fit_first_stage(dataset)
 
 
-def _diagonal_surfaces(first: FirstStageFit, X: np.ndarray) -> list[np.ndarray]:
-    """Step 3 of the interaction model: [phi_B, phi_C(0), ..., phi_C(p-1)]."""
+def _diagonal_weights(first: FirstStageFit, X: np.ndarray) -> np.ndarray:
+    """Step 3's weight rows of phi_B and each phi_C(j)."""
     with _step(3, "covariance regression"):
-        return regress.fit_diagonal_surfaces(first, X)
+        return regress.diagonal_weights(first, X)
 
 
-def _diagonal_cores(first: FirstStageFit, X: np.ndarray) -> list[tuple[np.ndarray, np.ndarray]]:
+def _diagonal_surfaces(first: FirstStageFit, weights: np.ndarray, which: list[int]) -> list[np.ndarray]:
+    """Step 3 of the interaction model: the surfaces which of [phi_B, phi_C(0), ..., phi_C(p-1)]."""
+    with _step(3, "covariance regression"):
+        return regress.fit_diagonal_surfaces(first, weights, which)
+
+
+def _diagonal_cores(first: FirstStageFit, weights: np.ndarray) -> list[tuple[np.ndarray, np.ndarray]]:
     """Step 3 in the residuals' row space: (Q, core) of each of those surfaces."""
     with _step(3, "covariance regression"):
-        return regress.fit_diagonal_cores(first, X)
+        return regress.fit_diagonal_cores(first, weights)
 
 
 def _linear_residuals(dataset: Dataset) -> np.ndarray:
@@ -278,7 +302,7 @@ def _fit(stage: _Stage, method: str, k: int | None, n_iter: int | None, truth: G
     if method.startswith("interaction"):
         if (dataset.p + 1) * k > dataset.m:
             raise NumericalError(f"(p+1)*K = {(dataset.p + 1) * k} exceeds m = {dataset.m}; cannot project out that many directions")
-        u_b = _hetero_pca(stage.surfaces()[0], k, n_iter) if hetero else stage.top_k(0, k)
+        u_b = _hetero_pca(stage.surface(0), k, n_iter) if hetero else stage.top_k(0, k)
         blocks = [u_b] + [stage.top_k(j, k) for j in range(1, dataset.p + 1)]
         with _step(4, "eigenspace extraction"):
             basis = spectral.build_projection(blocks)

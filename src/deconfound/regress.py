@@ -132,34 +132,35 @@ def fit_covariance_regression(fit: FirstStageFit, X: np.ndarray) -> CovarianceFi
     return CovarianceFit(phi_B=surfaces[0], phi_BC=tuple(surfaces[1 : 1 + p]), phi_CC=phi_cc)
 
 
-def fit_diagonal_surfaces(fit: FirstStageFit, X: np.ndarray) -> list[np.ndarray]:
-    """Only [phi_B, phi_C(0), ..., phi_C(p-1)], as fit_covariance_regression builds them."""
-    return _finite([_contract_outer_products(fit.residuals, w) for w in _diagonal_weights(fit, X)])
+def diagonal_weights(fit: FirstStageFit, X: np.ndarray) -> np.ndarray:
+    """The covariance-weight rows of phi_B and each phi_C(j), in that order."""
+    rows = [0] + [1 + fit.p + interaction_pairs(fit.p).index((j, j)) for j in range(fit.p)]
+    return _covariance_weights(fit, X)[rows]
 
 
-def fit_diagonal_cores(fit: FirstStageFit, X: np.ndarray) -> list[tuple[np.ndarray, np.ndarray]]:
-    """fit_diagonal_surfaces in the residuals' row space: (Q, core) with surface = Q core Q^T.
+def fit_diagonal_surfaces(fit: FirstStageFit, weights: np.ndarray, which: list[int]) -> list[np.ndarray]:
+    """Surfaces which (0 is phi_B, j + 1 is phi_C(j)) from diagonal_weights' rows.
+
+    Each is built as fit_covariance_regression builds it.
+    """
+    return [_finite(_contract_outer_products(fit.residuals, weights[i]), i) for i in which]
+
+
+def fit_diagonal_cores(fit: FirstStageFit, weights: np.ndarray) -> list[tuple[np.ndarray, np.ndarray]]:
+    """Every diagonal surface in the residuals' row space: (Q, core) with surface = Q core Q^T.
 
     eps^T = Q R is the reduced QR of the n x m residuals, so Q has
     min(n, m) orthonormal columns, and each core is the same weighted sum
     of outer products taken over the columns of R. At n < m this replaces
     every m x m surface by an n x n one.
     """
-    weights = _diagonal_weights(fit, X)
     q, r = np.linalg.qr(fit.residuals.T)
-    return [(q, core) for core in _finite([_contract_outer_products(r.T, w) for w in weights])]
+    return [(q, _finite(_contract_outer_products(r.T, w), i)) for i, w in enumerate(weights)]
 
 
-def _diagonal_weights(fit: FirstStageFit, X: np.ndarray) -> np.ndarray:
-    """The covariance-weight rows of phi_B and each phi_C(j), in that order."""
-    rows = [0] + [1 + fit.p + interaction_pairs(fit.p).index((j, j)) for j in range(fit.p)]
-    return _covariance_weights(fit, X)[rows]
-
-
-def _finite(surfaces: list[np.ndarray]) -> list[np.ndarray]:
-    for i, surface in enumerate(surfaces):
-        _require_finite(surface, "phi_B" if i == 0 else f"phi_C[{i - 1}]")
-    return surfaces
+def _finite(surface: np.ndarray, i: int) -> np.ndarray:
+    _require_finite(surface, "phi_B" if i == 0 else f"phi_C[{i - 1}]")
+    return surface
 
 
 def _contract_outer_products(eps: np.ndarray, weights: np.ndarray) -> np.ndarray:

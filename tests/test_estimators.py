@@ -451,6 +451,21 @@ class TestRowSpaceCore:
         fit_method(ds, "interaction_homo", k=3)
         assert len(shapes) == 6 and all(shape == (40, 40) for _, shape in shapes)
 
+    def test_known_k_hetero_fit_builds_only_phi_b_by_m(self, monkeypatch):
+        # HeteroPCA reads the m x m phi_B; the phi_C(j) blocks come from their cores
+        ds, _ = generate(SimulationConfig(n=40, m=60, p=2, k=3, seed=22))
+        shapes = []
+        contract = regress._contract_outer_products
+
+        def recording_contract(*args):
+            surface = contract(*args)
+            shapes.append(surface.shape)
+            return surface
+
+        monkeypatch.setattr(regress, "_contract_outer_products", recording_contract)
+        fit_method(ds, "interaction_hetero", k=3)
+        assert shapes.count((60, 60)) == 1 and shapes.count((40, 40)) == 3
+
     @pytest.mark.parametrize("p", [2, 3])
     def test_selector_spectra_stay_those_of_the_m_by_m_surfaces(self, p):
         ds, _ = generate(SimulationConfig(n=40, m=60, p=p, k=3, seed=23))

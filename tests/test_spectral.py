@@ -1,7 +1,12 @@
+import os
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 from conftest import assert_projector_properties, random_orthonormal
 
+import deconfound
 from deconfound.errors import DataError, DegenerateBasisWarning, NumericalError
 from deconfound.spectral import (
     SpectrumSummary,
@@ -156,6 +161,96 @@ class TestHeteroPCA:
     def test_k_too_large(self):
         with pytest.raises(NumericalError):
             hetero_pca(np.eye(3), 4, 1)
+
+
+def _hetero_pca_eigh_reference(S: np.ndarray, k: int, n_iter: int) -> np.ndarray:
+    """HeteroPCA with one full eigh of the iterate per step, ordered by |lambda|."""
+    S = np.asarray(S, dtype=float)
+    current = (S + S.T) / 2.0
+    np.fill_diagonal(current, 0.0)
+    for step in range(n_iter + 1):
+        vals, vecs = np.linalg.eigh(current)
+        top = np.argsort(np.abs(vals))[: -k - 1 : -1]
+        if step < n_iter:
+            np.fill_diagonal(current, np.square(vecs[:, top]) @ vals[top])
+    return fix_signs(vecs[:, top])
+
+
+def _recording_eigh(monkeypatch) -> list:
+    """Record the shape of every matrix np.linalg.eigh decomposes."""
+    shapes = []
+    eigh = np.linalg.eigh
+
+    def recording(a, *args, **kwargs):
+        shapes.append(np.shape(a))
+        return eigh(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigh", recording)
+    return shapes
+
+
+class TestHeteroPCABlockIteration:
+    @pytest.mark.parametrize("n_iter", [0, 1, 5])
+    @pytest.mark.parametrize("k", [1, 3, 5])
+    @pytest.mark.parametrize(
+        "m, eigenvalues",
+        [
+            (120, [40.0, 30.0, 22.0, 16.0, 12.0, 9.0]),
+            (500, [90.0, 70.0, 55.0, 45.0, 38.0, 32.0]),
+            # largest |lambda| is negative: ordering by algebraic value would drop it
+            (120, [-40.0, 30.0, 22.0, -16.0, 12.0, 9.0]),
+            (500, [-90.0, 70.0, 55.0, -45.0, 38.0, 32.0]),
+        ],
+    )
+    def test_matches_eigh_reference(self, monkeypatch, m, eigenvalues, k, n_iter):
+        s = _low_rank_plus_noise(70 + m + k, m, eigenvalues)
+        ref = _hetero_pca_eigh_reference(s, k, n_iter)
+        shapes = _recording_eigh(monkeypatch)
+        got = hetero_pca(s, k, n_iter)
+        assert (m, m) not in shapes  # every step was certified
+        assert got.shape == (m, k)
+        assert sin_theta(got, ref) <= 1e-10
+        assert np.max(np.abs(got.T @ got - np.eye(k))) < 1e-12
+
+    def test_tie_at_k_takes_the_exact_loop(self, monkeypatch):
+        # the eigenvalues sum to 0, so the flat-leverage Hadamard columns give a
+        # zero diagonal and the iterate keeps the tie |lambda_3| = |lambda_4| = 6
+        m, k = 128, 3
+        u = _hadamard_columns(m, 4)
+        s = u @ np.diag([10.0, -10.0, 6.0, -6.0]) @ u.T
+        shapes = _recording_eigh(monkeypatch)
+        got = hetero_pca(s, k, 5)
+        assert shapes.count((m, m)) == 6
+        monkeypatch.undo()
+        assert np.array_equal(got, _hetero_pca_eigh_reference(s, k, 5))
+
+    @pytest.mark.parametrize("k, n_iter", [(1, 0), (3, 5), (5, 20)])
+    def test_small_m_is_the_exact_loop(self, k, n_iter):
+        s = _low_rank_plus_noise(80 + k, 25, [20.0, -14.0, 9.0, 6.0, 4.0])
+        assert np.array_equal(hetero_pca(s, k, n_iter), _hetero_pca_eigh_reference(s, k, n_iter))
+
+    def test_no_m_by_m_eigh_at_m_500(self, monkeypatch):
+        s = _low_rank_plus_noise(90, 500, [60.0, 45.0, 30.0])
+        shapes = _recording_eigh(monkeypatch)
+        hetero_pca(s, 3, 5)
+        assert shapes and all(shape[0] < 500 for shape in shapes)
+
+    def test_independent_of_the_blas_thread_count(self, tmp_path):
+        # one fixed m = 500 input, decomposed in two processes that differ
+        # only in their BLAS thread count
+        np.save(tmp_path / "s.npy", _low_rank_plus_noise(91, 500, [60.0, 45.0, 30.0]))
+        src = os.path.dirname(os.path.dirname(deconfound.__file__))
+        code = (
+            "import sys, numpy as np; from deconfound.spectral import hetero_pca; "
+            "np.save(sys.argv[2], hetero_pca(np.load(sys.argv[1]), 3, 5))"
+        )
+        bases = []
+        for threads in ("1", "2"):
+            out = tmp_path / f"u{threads}.npy"
+            env = {**os.environ, "OPENBLAS_NUM_THREADS": threads, "OMP_NUM_THREADS": threads, "PYTHONPATH": src}
+            subprocess.run([sys.executable, "-c", code, str(tmp_path / "s.npy"), str(out)], env=env, check=True)
+            bases.append(np.load(out))
+        assert sin_theta(*bases) <= 1e-10
 
 
 class TestBuildProjection:

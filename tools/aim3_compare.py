@@ -22,6 +22,11 @@ has singular values down to ~1e-15 of the largest (a
 DegenerateBasisWarning), and a 1e-14 change in one block can move the
 final basis by O(1) within either tree.
 
+Each S2 and stress dataset also gets one interaction_hetero and one
+non_interaction_hetero fit at n_iter = 20, so long HeteroPCA chains
+(warm-started from step to step in a tree that does so) are compared by
+basis and theta like the other fits.
+
 The script prints the largest sin-theta between the projection bases the
 two trees fit with and the largest relative Frobenius error of theta,
 over every fit of both kinds of call, and whether any K selection, fit
@@ -54,6 +59,9 @@ RUNS = ("bundle known", "bundle selected", "cv 3-fold")
 #: Known K of the extra S2 interaction_homo fit: (p+1)K = 120 <= m = 500.
 NULL_SPACE_K = 40
 BLOCKS = f"interaction_homo K={NULL_SPACE_K} blocks"
+#: HeteroPCA steps of the long-chain fits on the m = 500 datasets.
+LONG_N_ITER = 20
+LONG_CHAINS = tuple(f"{method} n_iter={LONG_N_ITER}" for method in ("interaction_hetero", "non_interaction_hetero"))
 #: Test-split rows of each bundle: enough for the metrics, cheap at m = 500.
 N_STAR = 1000
 ONE_THREAD = {name: "1" for name in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")}
@@ -125,6 +133,14 @@ def run_tree(src: str, out_path: str) -> None:
                         results[(case, BLOCKS)] = list(blocks)
                     except (DeconfoundError, np.linalg.LinAlgError) as err:
                         results[(case, BLOCKS)] = type(err).__name__
+                if setting != "S1":
+                    for what in LONG_CHAINS:
+                        captured.clear()
+                        try:
+                            estimators.fit_method(dataset, what.split()[0], k=3, n_iter=LONG_N_ITER)
+                            results[(case, what)] = captured[-1]
+                        except (DeconfoundError, np.linalg.LinAlgError) as err:
+                            results[(case, what)] = type(err).__name__
                 k_star = spectral.default_k_star(n, m)
                 for selector in SELECTORS:
                     try:
@@ -173,7 +189,7 @@ def _outcome(result) -> str:
 
 def compare(parent: dict, change: dict) -> int:
     worst_basis, worst_theta = (0.0, "-"), (0.0, "-")
-    changed_k, changed_fits, n_selections, n_fits, n_runs = [], [], 0, 0, 0
+    changed_k, changed_fits, n_selections, n_fits, n_runs, n_long = [], [], 0, 0, 0, 0
 
     def compare_basis(u_old, u_new, where: str) -> bool:
         nonlocal worst_basis
@@ -233,6 +249,7 @@ def compare(parent: dict, change: dict) -> int:
                     compare_basis(u_old, u_new, f"{case} {what} {i}")
         else:
             n_fits += 1
+            n_long += what in LONG_CHAINS
             if _outcome(old) != _outcome(new):
                 changed_fits.append(f"{case} {what}: {_outcome(old)} -> {_outcome(new)}")
             if _outcome(old) == "ok" and _outcome(new) == "ok":
@@ -240,6 +257,7 @@ def compare(parent: dict, change: dict) -> int:
     print(f"max basis sin-theta: {worst_basis[0]:.2e} (bound {BASIS_BOUND:.0e}) at {worst_basis[1]}")
     print(f"max theta relative error: {worst_theta[0]:.2e} (bound {THETA_BOUND:.0e}) at {worst_theta[1]}")
     print(f"bench runs compared: {n_runs} ({', '.join(RUNS)} per dataset)")
+    print(f"long HeteroPCA chains compared: {n_long} ({', '.join(LONG_CHAINS)} per S2 and stress dataset)")
     print(f"K selections changed: {len(changed_k)} of {n_selections} (selector calls and K in run records)")
     print(f"fit outcomes changed: {len(changed_fits)} of {n_fits} (single fits and run records)")
     for line in changed_k + changed_fits:
