@@ -230,8 +230,7 @@ def _run_dataset(
             k_used = k if reads_k else None
             try:
                 if reads_k and k is None:
-                    selector = "interaction" if method.startswith("interaction") else "non_interaction"
-                    k_used = stage.select_k(selector, k_star)
+                    k_used = stage.select_k(estimators._family(method), k_star)
                 est = estimators._fit(stage, method, k_used, n_iter, truth)
                 outcomes.append((est, est.k_used))
             except (DeconfoundError, np.linalg.LinAlgError) as err:
@@ -340,10 +339,8 @@ def run_k_selection(
     surfaces) and the single-surface non-interaction selector on every
     generated dataset.
     """
-    if replicates < 1:
-        raise DataError("replicates must be >= 1")
-    if k_star < 1:
-        raise DataError("k_star must be a positive integer")
+    _check_positive(replicates, "replicates")
+    _check_positive(k_star, "k_star")
     if not sigma_w_values:
         raise DataError("sigma_w list must be nonempty")
     jobs = [

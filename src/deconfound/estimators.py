@@ -12,7 +12,7 @@ import numpy as np
 
 from . import regress, spectral
 from .errors import DataError, DeconfoundError, DimensionMismatchError, NumericalError
-from .model import METHODS, Dataset, DebiasedEstimate, FirstStageFit, GroundTruth, ProjectionBasis
+from .model import METHODS, Dataset, DebiasedEstimate, GroundTruth, ProjectionBasis
 from .spectral import SpectrumSummary
 
 DEFAULT_N_ITER = 5
@@ -32,25 +32,38 @@ def _check_n_iter(n_iter: int) -> None:
         raise DataError(f"n_iter must be a positive integer, got {n_iter}")
 
 
+def _family(method: str) -> str:
+    """The selector family of a method that reads K: "interaction" or "non_interaction"."""
+    return "interaction" if method.startswith("interaction") else "non_interaction"
+
+
 class _Stage:
     """Steps 1-3 of one dataset, shared by the selectors and fits that read them.
 
-    Computes each quantity at most once, on first use: the interaction
-    surfaces and their top-k eigenvectors, the no-interaction mean outer
-    product, and each selector family's K. A failure is kept and raised
-    again to every later reader, so all of them report the same step.
-    close() drops it all, even while an escaped error's traceback holds
-    the stage.
+    A family is a selector name: "interaction" reads the interaction
+    regression's residuals and their surfaces phi_B and phi_C(j), each a
+    contraction of the residual outer products with diagonal weights;
+    "non_interaction" reads the linear fit's residuals and their one
+    surface phi_B_mean = (e^T e) / n. Everything else is the same path.
+
+    Computes each quantity at most once, on first use: a family's
+    surfaces and their top-k eigenvectors, and each family's K. A failure
+    is kept and raised again to every later reader, so all of them report
+    the same step. close() drops it all, even while an escaped error's
+    traceback holds the stage.
 
     At n < m every surface lies in the n-dimensional row space of its
-    residuals, so top-k eigenvectors come from n x n cores (see _top_k)
+    residuals, so top-k eigenvectors come from n x n cores (see top_k)
     and an m x m surface is built only when the selector, HeteroPCA or
     the fallback reads it.
     """
 
     def __init__(self, dataset: Dataset):
         self.dataset = dataset
-        self.names = ["phi_B"] + [f"phi_C[{j}]" for j in range(dataset.p)]
+        self.names = {
+            "interaction": ["phi_B"] + [f"phi_C[{j}]" for j in range(dataset.p)],
+            "non_interaction": ["phi_B_mean"],
+        }
         self.factored = dataset.n < dataset.m
         self._memo: dict = {}
 
@@ -68,103 +81,79 @@ class _Stage:
         return self._memo[key]
 
     def _shared(self, key, compute):
-        """compute() kept at n < m, where the surfaces and the cores both read it."""
+        """compute() kept at n < m, where the surfaces and the cores both read it; at n >= m it is read once."""
         return self._once(key, compute) if self.factored else compute()
 
-    def _first(self) -> FirstStageFit:
-        return self._shared("first", lambda: _first_stage(self.dataset))
+    def _residuals(self, family: str) -> np.ndarray:
+        """The family's step-1 residuals: of the interaction regression, or of the linear fit."""
 
-    def _linear(self) -> np.ndarray:
-        return self._shared("linear", lambda: _linear_residuals(self.dataset))
+        def compute():
+            if family == "non_interaction":
+                return _linear_residuals(self.dataset)
+            with _step(1, "interaction regression"):
+                return regress.fit_first_stage(self.dataset).residuals
 
-    def _weights(self, first: FirstStageFit) -> np.ndarray:
-        return self._shared("weights", lambda: _diagonal_weights(first, self.dataset.X))
+        return self._shared(("residuals", family), compute)
 
-    def _surfaces(self, which: list[int]) -> list[np.ndarray]:
-        first = self._first()
-        return _diagonal_surfaces(first, self._weights(first), which)
+    def _rule(self, family: str, eps: np.ndarray, which: list[int]) -> list[np.ndarray]:
+        """Step 3: the family's surfaces `which`, built from the outer products of the rows of eps."""
+        if family == "non_interaction":
+            return [(eps.T @ eps) / self.dataset.n]
+        with _step(3, "covariance regression"):
+            weights = self._shared("weights", lambda: regress.diagonal_weights(self.dataset.X))
+            return regress.fit_diagonal_surfaces(eps, weights, which)
 
-    def surface(self, i: int) -> np.ndarray:
-        """The m x m surface i (0 is phi_B, j + 1 is phi_C(j)), built on first read.
+    def surface(self, family: str, i: int) -> np.ndarray:
+        """The family's m x m surface i (for interaction, 0 is phi_B and j + 1 is phi_C(j)), built on first read.
 
         At n >= m every reader reads all of them, so the first read builds
-        them together and the n x m first stage is not kept (keeping it
+        them together and the n x m residuals are not kept (keeping them
         slowed S1 interaction fits by about 15 %).
         """
         if self.factored:
-            return self._once(("surface", i), lambda: self._surfaces([i])[0])
-        return self._once("surfaces", lambda: self._surfaces(list(range(len(self.names)))))[i]
+            return self._once(("surface", family, i), lambda: self._rule(family, self._residuals(family), [i])[0])
+        every = list(range(len(self.names[family])))
+        return self._once(("surfaces", family), lambda: self._rule(family, self._residuals(family), every))[i]
 
-    def surfaces(self) -> list[np.ndarray]:
-        return [self.surface(i) for i in range(len(self.names))]
+    def _cores(self, family: str) -> tuple[np.ndarray, list[np.ndarray]]:
+        """(Q, cores) with eps^T = Q R, so each surface is Q core Q^T for its rule applied to R^T."""
 
-    def _cores(self) -> list[tuple[np.ndarray, np.ndarray]]:
-        return self._once("cores", lambda: _diagonal_cores(self._first(), self._weights(self._first())))
+        def factor():
+            q, r = np.linalg.qr(self._residuals(family).T)
+            return q, self._rule(family, r.T, list(range(len(self.names[family]))))
 
-    def top_k(self, i: int, k: int) -> np.ndarray:
-        """Top-k eigenvectors of surface i. Raises step-4 errors."""
-        return self._once(
-            ("top_k", i, k), lambda: self._top_k(lambda: self._cores()[i], lambda: self.surface(i), k, self.names[i])
-        )
+        return self._once(("cores", family), factor)
 
-    def mean_outer_product(self) -> np.ndarray:
-        return self._once("mean", lambda: _mean_outer_product(self._linear(), self.dataset.n))
+    def top_k(self, family: str, i: int, k: int) -> np.ndarray:
+        """Top-k eigenvectors of the family's surface i. Raises step-4 errors.
 
-    def mean_top_k(self, k: int) -> np.ndarray:
-        """Top-k eigenvectors of the mean outer product. Raises step-4 errors."""
-        return self._top_k(lambda: _mean_core(self._linear(), self.dataset.n), self.mean_outer_product, k, "phi_B")
-
-    def _top_k(self, factor, surface, k: int, source: str) -> np.ndarray:
-        """Top-k eigenvectors of surface(); at n < m from factor() = (Q, core), surface = Q core Q^T.
-
-        The core's eigenvectors, mapped by Q, are the surface's when its
-        k-th eigenvalue is positive beyond round-off (SV_RTOL of its
-        largest |eigenvalue|). Otherwise the surface's top k reach its
-        null space, and they come from surface() as at n >= m.
+        At n < m they are the core's, mapped by Q, when the core's k-th
+        eigenvalue is positive beyond round-off (SV_RTOL of its largest
+        |eigenvalue|). Otherwise the surface's top k reach its null space,
+        and they come from the m x m surface as at n >= m.
         """
-        if self.factored and k <= self.dataset.n:
-            q, core = factor()
+
+        def compute():
+            source = self.names[family][i]
+            if self.factored and k <= self.dataset.n:
+                q, cores = self._cores(family)
+                with _step(4, "eigenspace extraction"):
+                    v, spectrum = spectral.top_k_eigenvectors(cores[i], k, source=source)
+                vals = spectrum.eigenvalues
+                if vals[k - 1] > regress.SV_RTOL * np.max(np.abs(vals)):
+                    return spectral.fix_signs(q @ v)
+            matrix = self.surface(family, i)
             with _step(4, "eigenspace extraction"):
-                v, spectrum = spectral.top_k_eigenvectors(core, k, source=source)
-            vals = spectrum.eigenvalues
-            if vals[k - 1] > regress.SV_RTOL * np.max(np.abs(vals)):
-                return spectral.fix_signs(q @ v)
-        matrix = surface()
-        with _step(4, "eigenspace extraction"):
-            return spectral.top_k_eigenvectors(matrix, k, source=source)[0]
+                return spectral.top_k_eigenvectors(matrix, k, source=source)[0]
 
-    def spectra(self, selector: str) -> list[SpectrumSummary]:
-        """What the selector family reads: every interaction surface, or the mean outer product."""
-        if selector == "interaction":
-            return [spectral.eigen_spectrum(s, name) for s, name in zip(self.surfaces(), self.names)]
-        return [spectral.eigen_spectrum(self.mean_outer_product(), "phi_B_mean")]
+        return self._once(("top_k", family, i, k), compute)
 
-    def select_k(self, selector: str, k_star: int) -> int:
-        return self._once(("k", selector, k_star), lambda: spectral.select_k(self.spectra(selector), k_star))
+    def spectra(self, family: str) -> list[SpectrumSummary]:
+        """What the family's selector reads: the eigenvalues of each of its m x m surfaces."""
+        return [spectral.eigen_spectrum(self.surface(family, i), name) for i, name in enumerate(self.names[family])]
 
-
-def _first_stage(dataset: Dataset) -> FirstStageFit:
-    """Step 1 of the interaction model."""
-    with _step(1, "interaction regression"):
-        return regress.fit_first_stage(dataset)
-
-
-def _diagonal_weights(first: FirstStageFit, X: np.ndarray) -> np.ndarray:
-    """Step 3's weight rows of phi_B and each phi_C(j)."""
-    with _step(3, "covariance regression"):
-        return regress.diagonal_weights(first, X)
-
-
-def _diagonal_surfaces(first: FirstStageFit, weights: np.ndarray, which: list[int]) -> list[np.ndarray]:
-    """Step 3 of the interaction model: the surfaces which of [phi_B, phi_C(0), ..., phi_C(p-1)]."""
-    with _step(3, "covariance regression"):
-        return regress.fit_diagonal_surfaces(first, weights, which)
-
-
-def _diagonal_cores(first: FirstStageFit, weights: np.ndarray) -> list[tuple[np.ndarray, np.ndarray]]:
-    """Step 3 in the residuals' row space: (Q, core) of each of those surfaces."""
-    with _step(3, "covariance regression"):
-        return regress.fit_diagonal_cores(first, weights)
+    def select_k(self, family: str, k_star: int) -> int:
+        return self._once(("k", family, k_star), lambda: spectral.select_k(self.spectra(family), k_star))
 
 
 def _linear_residuals(dataset: Dataset) -> np.ndarray:
@@ -172,17 +161,6 @@ def _linear_residuals(dataset: Dataset) -> np.ndarray:
     with _step(1, "linear regression"):
         theta_lin = regress.least_squares(dataset.X, dataset.Y)
     return dataset.Y - dataset.X @ theta_lin
-
-
-def _mean_outer_product(eps: np.ndarray, n: int) -> np.ndarray:
-    """Averaged outer product of the linear fit's residuals."""
-    return (eps.T @ eps) / n
-
-
-def _mean_core(eps: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
-    """(Q, core) with eps^T = Q R, so the mean outer product is Q (R R^T / n) Q^T."""
-    q, r = np.linalg.qr(eps.T)
-    return q, (r @ r.T) / n
 
 
 def _hetero_pca(phi_b: np.ndarray, k: int, n_iter: int) -> np.ndarray:
@@ -299,18 +277,20 @@ def _fit(stage: _Stage, method: str, k: int | None, n_iter: int | None, truth: G
         _check_n_iter(n_iter)
     if k < 1:
         raise NumericalError(f"k must be a positive integer, got {k}")
-    if method.startswith("interaction"):
-        if (dataset.p + 1) * k > dataset.m:
-            raise NumericalError(f"(p+1)*K = {(dataset.p + 1) * k} exceeds m = {dataset.m}; cannot project out that many directions")
-        u_b = _hetero_pca(stage.surface(0), k, n_iter) if hetero else stage.top_k(0, k)
-        blocks = [u_b] + [stage.top_k(j, k) for j in range(1, dataset.p + 1)]
-        with _step(4, "eigenspace extraction"):
-            basis = spectral.build_projection(blocks)
-    else:
+    family = _family(method)
+    if family == "interaction" and (dataset.p + 1) * k > dataset.m:
+        raise NumericalError(f"(p+1)*K = {(dataset.p + 1) * k} exceeds m = {dataset.m}; cannot project out that many directions")
+    if family == "non_interaction":
         if k > dataset.m:
             raise NumericalError(f"k = {k} exceeds m = {dataset.m}")
         if dataset.n <= dataset.p:
             raise NumericalError(f"need n > p: n = {dataset.n}, p = {dataset.p}")
-        basis = ProjectionBasis(U=_hetero_pca(stage.mean_outer_product(), k, n_iter) if hetero else stage.mean_top_k(k))
+    u_b = _hetero_pca(stage.surface(family, 0), k, n_iter) if hetero else stage.top_k(family, 0, k)
+    blocks = [u_b] + [stage.top_k(family, i, k) for i in range(1, len(stage.names[family]))]
+    if len(blocks) == 1:
+        basis = ProjectionBasis(U=u_b)
+    else:
+        with _step(4, "eigenspace extraction"):
+            basis = spectral.build_projection(blocks)
     with _step(5, "projected least squares"):
         return regress.fit_projected_ols(dataset, basis, method=method, k_used=k, t_used=n_iter if hetero else None)

@@ -98,13 +98,9 @@ def fit_first_stage(dataset: Dataset) -> FirstStageFit:
     return FirstStageFit(L1=coef[: dataset.p], L2=coef[dataset.p :], residuals=residuals)
 
 
-def _covariance_weights(fit: FirstStageFit, X: np.ndarray) -> np.ndarray:
+def _covariance_weights(X: np.ndarray) -> np.ndarray:
     """Pseudo-inverse rows of the design [1, X_j, X_j X_k], pairs in interaction_pairs order."""
-    n = fit.residuals.shape[0]
-    if np.shape(X) != (n, fit.p):
-        raise DimensionMismatchError(
-            f"X must be ({n}, {fit.p}) to match the first-stage fit, got {np.shape(X)}"
-        )
+    n = np.shape(X)[0]
     design = np.column_stack([np.ones(n), expand_interactions(X)])
     if n <= design.shape[1]:
         raise NumericalError(
@@ -126,36 +122,32 @@ def fit_covariance_regression(fit: FirstStageFit, X: np.ndarray) -> CovarianceFi
     weighted sum of the symmetric eps_i eps_i^T and is symmetrized as
     (M + M^T) / 2.
     """
-    surfaces = [_contract_outer_products(fit.residuals, w) for w in _covariance_weights(fit, X)]
+    n = fit.residuals.shape[0]
+    if np.shape(X) != (n, fit.p):
+        raise DimensionMismatchError(
+            f"X must be ({n}, {fit.p}) to match the first-stage fit, got {np.shape(X)}"
+        )
+    surfaces = [_contract_outer_products(fit.residuals, w) for w in _covariance_weights(X)]
     p = fit.p
     phi_cc = dict(zip(interaction_pairs(p), surfaces[1 + p :]))
     return CovarianceFit(phi_B=surfaces[0], phi_BC=tuple(surfaces[1 : 1 + p]), phi_CC=phi_cc)
 
 
-def diagonal_weights(fit: FirstStageFit, X: np.ndarray) -> np.ndarray:
+def diagonal_weights(X: np.ndarray) -> np.ndarray:
     """The covariance-weight rows of phi_B and each phi_C(j), in that order."""
-    rows = [0] + [1 + fit.p + interaction_pairs(fit.p).index((j, j)) for j in range(fit.p)]
-    return _covariance_weights(fit, X)[rows]
+    p = np.shape(X)[1]
+    rows = [0] + [1 + p + interaction_pairs(p).index((j, j)) for j in range(p)]
+    return _covariance_weights(X)[rows]
 
 
-def fit_diagonal_surfaces(fit: FirstStageFit, weights: np.ndarray, which: list[int]) -> list[np.ndarray]:
-    """Surfaces which (0 is phi_B, j + 1 is phi_C(j)) from diagonal_weights' rows.
+def fit_diagonal_surfaces(eps: np.ndarray, weights: np.ndarray, which: list[int]) -> list[np.ndarray]:
+    """Surfaces which (0 is phi_B, j + 1 is phi_C(j)) of the rows of eps, from diagonal_weights' rows.
 
-    Each is built as fit_covariance_regression builds it.
+    With eps the n x m residuals, each is built as fit_covariance_regression
+    builds it. With eps = R^T from the reduced QR eps^T = Q R, each is the
+    min(n, m) x min(n, m) core of that surface, which is Q core Q^T.
     """
-    return [_finite(_contract_outer_products(fit.residuals, weights[i]), i) for i in which]
-
-
-def fit_diagonal_cores(fit: FirstStageFit, weights: np.ndarray) -> list[tuple[np.ndarray, np.ndarray]]:
-    """Every diagonal surface in the residuals' row space: (Q, core) with surface = Q core Q^T.
-
-    eps^T = Q R is the reduced QR of the n x m residuals, so Q has
-    min(n, m) orthonormal columns, and each core is the same weighted sum
-    of outer products taken over the columns of R. At n < m this replaces
-    every m x m surface by an n x n one.
-    """
-    q, r = np.linalg.qr(fit.residuals.T)
-    return [(q, _finite(_contract_outer_products(r.T, w), i)) for i, w in enumerate(weights)]
+    return [_finite(_contract_outer_products(eps, weights[i]), i) for i in which]
 
 
 def _finite(surface: np.ndarray, i: int) -> np.ndarray:

@@ -9,6 +9,7 @@ from deconfound.errors import (
     DataError,
     DimensionMismatchError,
     NumericalError,
+    RankDeficientError,
 )
 from deconfound.estimators import (
     fit_heteroscedastic,
@@ -183,8 +184,8 @@ class TestInteractionPipelines:
     def test_steps_1_to_3_run_once_per_dataset(self, monkeypatch):
         # one bundle of all six methods with K selected: both selectors and
         # the four estimators share one first stage, one set of p+1
-        # surfaces, one mean outer product and one eigh per phi_C(j)
-        calls = {"first_stage": 0, "surfaces": 0, "mean": 0}
+        # surfaces, one linear fit, one mean outer product and one eigh per phi_C(j)
+        calls = {"first_stage": 0, "surfaces": 0, "linear": 0, "mean": 0}
         sources = []
 
         def counted(key, fn):
@@ -194,6 +195,12 @@ class TestInteractionPipelines:
 
             return wrapper
 
+        rule = estimators._Stage._rule
+
+        def counted_rule(stage, family, eps, which):
+            calls["mean"] += family == "non_interaction"
+            return rule(stage, family, eps, which)
+
         top_k = spectral.top_k_eigenvectors
 
         def recording_top_k(*args, **kwargs):
@@ -202,7 +209,8 @@ class TestInteractionPipelines:
 
         monkeypatch.setattr(regress, "fit_first_stage", counted("first_stage", regress.fit_first_stage))
         monkeypatch.setattr(regress, "_contract_outer_products", counted("surfaces", regress._contract_outer_products))
-        monkeypatch.setattr(estimators, "_mean_outer_product", counted("mean", estimators._mean_outer_product))
+        monkeypatch.setattr(estimators, "_linear_residuals", counted("linear", estimators._linear_residuals))
+        monkeypatch.setattr(estimators._Stage, "_rule", counted_rule)
         monkeypatch.setattr(spectral, "top_k_eigenvectors", recording_top_k)
         grid = ExperimentGrid(
             base=SimulationConfig(n=300, m=10, p=2, k=2, sigma_w=1.5, seed=5),
@@ -211,7 +219,7 @@ class TestInteractionPipelines:
         )
         report = run_grid(grid)
         assert report.failure_count() == 0
-        assert calls == {"first_stage": 1, "surfaces": 3, "mean": 1}
+        assert calls == {"first_stage": 1, "surfaces": 3, "linear": 1, "mean": 1}
         assert sources.count("phi_C[0]") == sources.count("phi_C[1]") == 1
         monkeypatch.undo()
         ds, truth = generate(grid.config_for(0.5, 0))
@@ -325,6 +333,20 @@ class TestNonInteraction:
         manual = fit_projected_ols(ds, ProjectionBasis(U=u))
         assert np.max(np.abs(est.theta - manual.theta)) < 1e-8
         assert est.method == "non_interaction_homo"
+
+    @pytest.mark.parametrize("n, m", [(30, 40), (60, 10)])
+    def test_rank_deficient_x_fails_at_each_familys_step_1(self, n, m):
+        # two equal columns: both step-1 designs are rank deficient, at n < m and at n >= m
+        rng = np.random.default_rng(25)
+        x = rng.standard_normal((n, 1))
+        ds = Dataset(X=np.hstack([x, x]), Y=rng.standard_normal((n, m)))
+        methods = ["interaction_homo", "interaction_hetero", "non_interaction_homo", "non_interaction_hetero"]
+        for k, prefix in ((2, ""), (None, "selection failed: ")):
+            outcomes = bench._run_dataset(ds, methods, k=k, k_star=None, n_iter=5)
+            for method, (err, k_used) in zip(methods, outcomes):
+                label = "interaction regression" if method.startswith("interaction") else "linear regression"
+                assert isinstance(err, RankDeficientError) and k_used == k
+                assert str(err).startswith(f"{prefix}step 1 ({label}): design is rank deficient")
 
     def test_correct_specification_beats_overprojection_when_no_interactions(self):
         # with C = 0 both estimators converge to a projected target, but the
@@ -476,19 +498,21 @@ class TestRowSpaceCore:
     def test_one_first_stage_per_dataset_and_cores_released(self, monkeypatch):
         ds, truth = generate(SimulationConfig(n=40, m=60, p=2, k=3, seed=24))
         calls, refs = [], []
-        first, cores = regress.fit_first_stage, regress.fit_diagonal_cores
+        first, diagonal = regress.fit_first_stage, regress.fit_diagonal_surfaces
 
         def counted_first(*args):
             calls.append(args)
             return first(*args)
 
-        def tracked_cores(*args):
-            factors = cores(*args)
-            refs.extend(weakref.ref(core) for _, core in factors)
-            return factors
+        def tracked_cores(eps, *args):
+            # the n x n cores come from the n x n R^T; the m x m surfaces from the n x m residuals
+            surfaces = diagonal(eps, *args)
+            if eps.shape == (ds.n, ds.n):
+                refs.extend(weakref.ref(core) for core in surfaces)
+            return surfaces
 
         monkeypatch.setattr(regress, "fit_first_stage", counted_first)
-        monkeypatch.setattr(regress, "fit_diagonal_cores", tracked_cores)
+        monkeypatch.setattr(regress, "fit_diagonal_surfaces", tracked_cores)
         gc.disable()
         try:
             outcomes = bench._run_dataset(ds, METHODS, k=3, k_star=None, n_iter=5, truth=truth)
