@@ -1,3 +1,4 @@
+import csv
 import json
 
 import numpy as np
@@ -272,3 +273,71 @@ class TestCVCommand:
         errors = {(r["method"], r["error"] is None) for r in report["records"]}
         assert errors == {("ols", True), ("interaction_homo", False)}
 
+
+
+class TestReportLayout:
+    """The columns and keys of every report, and how a missing value and an error are written."""
+
+    def test_benchmark_select_k_and_cv_layout(self, tmp_path):
+        bench_out = tmp_path / "bench"
+        assert main([
+            "benchmark", "--setting", "1", "--sweep", "eta_dep=0.5", "--replicates", "1", "--seed", "0",
+            "--methods", "ols,interaction_homo", "--k", "auto", "--k-star", "12", "--out", str(bench_out),
+        ]) == 0
+        report = json.loads((bench_out / "report.json").read_text())
+        assert list(report) == ["sweep_param", "records", "aggregates"]
+        record_keys = ["value", "method", "replicate", "sse_log", "pmse_log", "k_used", "error"]
+        aggregate_keys = [
+            "value", "method", "n_ok", "n_failed", "mean_sse_log", "se_sse_log", "mean_pmse_log", "se_pmse_log",
+        ]
+        assert [list(rec) for rec in report["records"]] == [record_keys] * 2
+        assert [list(row) for row in report["aggregates"]] == [aggregate_keys] * 2
+        ols, failed = report["records"]
+        assert ols["value"] == 0.5 and ols["k_used"] is None and ols["error"] is None
+        assert failed["sse_log"] is failed["pmse_log"] is failed["k_used"] is None
+        assert failed["error"].startswith("selection failed: ")
+        assert report["aggregates"][0]["se_sse_log"] is None  # one replicate: no standard error
+
+        records_text = (bench_out / "records.csv").read_text()
+        assert records_text.splitlines()[0] == "sweep_param,value,method,replicate,sse_log,pmse_log,k_used,error"
+        ols_row, failed_row = list(csv.reader(records_text.splitlines()))[1:]
+        assert ols_row == [
+            "eta_dep", "0.5", "ols", "0", "%.17g" % ols["sse_log"], "%.17g" % ols["pmse_log"], "", "",
+        ]
+        assert failed_row == ["eta_dep", "0.5", "interaction_homo", "0", "", "", "", failed["error"]]
+        aggregate_lines = (bench_out / "aggregate.csv").read_text().splitlines()
+        assert aggregate_lines[0] == (
+            "sweep_param,value,method,n_ok,n_failed,mean_sse_log,se_sse_log,mean_pmse_log,se_pmse_log"
+        )
+        assert aggregate_lines[2] == "eta_dep,0.5,interaction_homo,0,1,,,,"
+
+        ksel_out = tmp_path / "ksel"
+        assert main([
+            "select-k", "--sigma-w", "0.5", "--k-star", "12", "--replicates", "1", "--out", str(ksel_out),
+        ]) == 0
+        ksel = json.loads((ksel_out / "k_selection.json").read_text())
+        assert list(ksel) == ["k_star", "records", "summary"]
+        assert [list(rec) for rec in ksel["records"]] == [["sigma_w", "replicate", "selector", "k_hat", "error"]] * 2
+        refused, selected = ksel["records"]
+        assert refused["k_hat"] is None and refused["error"].startswith("nonpositive eigenvalue")
+        assert selected["k_hat"] >= 1 and selected["error"] is None
+
+        rng = np.random.default_rng(17)
+        io.save_dataset(
+            Dataset(X=rng.standard_normal((8, 2)), Y=rng.standard_normal((8, 5))),
+            tmp_path / "X.csv", tmp_path / "Y.csv",
+        )
+        cv_out = tmp_path / "cv.json"
+        assert main([
+            "cv", "--x", str(tmp_path / "X.csv"), "--y", str(tmp_path / "Y.csv"),
+            "--folds", "4", "--methods", "ols,interaction_homo", "--k", "1", "--out", str(cv_out),
+        ]) == 0
+        cv = json.loads(cv_out.read_text())
+        assert list(cv) == ["folds", "mean_pmse_log", "records"]
+        assert [list(rec) for rec in cv["records"]] == [["fold", "method", "pmse_log", "k_used", "error"]] * 8
+        assert cv["records"][0]["k_used"] is None and cv["records"][0]["error"] is None
+        assert cv["records"][1] == {
+            "fold": 0, "method": "interaction_homo", "pmse_log": None, "k_used": 1,
+            "error": "step 3 (covariance regression): covariance regression needs n > 1 + p + p(p+1)/2: "
+            "n = 6, columns = 6",
+        }
