@@ -11,7 +11,7 @@ import csv
 import hashlib
 from concurrent.futures import ProcessPoolExecutor
 from contextlib import closing
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 from pathlib import Path
 from typing import Any
 
@@ -70,6 +70,11 @@ def replicate_seed(base_seed: int, sweep_param: str, value: float, rep: int) -> 
     return int.from_bytes(hashlib.sha256(text.encode()).digest()[:8], "big")
 
 
+def _cell_config(base: SimulationConfig, sweep_param: str, value: float, rep: int) -> SimulationConfig:
+    """The config of replicate rep at one sweep value; a bad value raises DataError."""
+    return replace(base, **{sweep_param: value, "seed": replicate_seed(base.seed, sweep_param, value, rep)})
+
+
 def _check_methods(methods) -> None:
     if not methods:
         raise DataError("methods list must be nonempty")
@@ -105,8 +110,9 @@ class ExperimentGrid:
             raise DataError(f"sweep parameter must be one of {SWEEP_PARAMS}")
         if not self.sweep_values:
             raise DataError("sweep list must be nonempty")
-        if self.replicates < 1:
-            raise DataError("replicates must be >= 1")
+        for value in self.sweep_values:
+            self.config_for(value, 0)  # a bad value fails here, before any bundle runs
+        _check_positive(self.replicates, "replicates")
         _check_methods(self.methods)
         if self.k_policy not in K_POLICIES:
             raise DataError(f"k policy must be one of {K_POLICIES}")
@@ -114,8 +120,7 @@ class ExperimentGrid:
         estimators._check_n_iter(self.n_iter)
 
     def config_for(self, value: float, rep: int) -> SimulationConfig:
-        seed = replicate_seed(self.base.seed, self.sweep_param, value, rep)
-        return replace(self.base, **{self.sweep_param: value, "seed": seed})
+        return _cell_config(self.base, self.sweep_param, value, rep)
 
 
 @dataclass(frozen=True)
@@ -311,18 +316,16 @@ class KSelectionReport:
         return min(k for k, c in counts.items() if c == best)
 
 
-def _run_k_selection_cell(args: tuple[SimulationConfig, str, float, int, int]) -> list[KSelectionRecord]:
-    base, sweep_param, value, rep, k_star = args
-    seed = replicate_seed(base.seed, sweep_param, value, rep)
-    config = replace(base, sigma_w=value, seed=seed)
+def _run_k_selection_cell(args: tuple[SimulationConfig, int, int]) -> list[KSelectionRecord]:
+    config, rep, k_star = args
     dataset, _ = generate(config)
     out = []
     with closing(estimators._Stage(dataset)) as stage:
         for selector in SELECTORS:
             try:
-                out.append(KSelectionRecord(value, rep, selector, stage.select_k(selector, k_star)))
+                out.append(KSelectionRecord(config.sigma_w, rep, selector, stage.select_k(selector, k_star)))
             except (DeconfoundError, np.linalg.LinAlgError) as err:
-                out.append(KSelectionRecord(value, rep, selector, None, error=str(err)))
+                out.append(KSelectionRecord(config.sigma_w, rep, selector, None, error=str(err)))
     return out
 
 
@@ -344,7 +347,7 @@ def run_k_selection(
     if not sigma_w_values:
         raise DataError("sigma_w list must be nonempty")
     jobs = [
-        (base, "sigma_w", float(value), rep, k_star)
+        (_cell_config(base, "sigma_w", float(value), rep), rep, k_star)
         for value in sigma_w_values
         for rep in range(replicates)
     ]
@@ -435,84 +438,37 @@ def cross_validate(
 
 
 # ---------------------------------------------------------------------------
-# Report writers (tidy records CSV, aggregate CSV, JSON)
+# Report writers (tidy records CSV, aggregate CSV, JSON): a record's fields are its columns
+
+
+def _columns(record_type) -> list[str]:
+    """The record type's field names in declaration order; sweep_value is written as value."""
+    return ["value" if f.name == "sweep_value" else f.name for f in fields(record_type)]
+
+
+def _values(record, encode) -> list:
+    """The record's field values in declaration order, each float through encode."""
+    values = (getattr(record, f.name) for f in fields(record))
+    return [encode(v) if isinstance(v, float) else v for v in values]
 
 
 def write_report_csv(report: ExperimentReport, records_path: str | Path, aggregate_path: str | Path) -> None:
-    with open(records_path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["sweep_param", "value", "method", "replicate", "sse_log", "pmse_log", "k_used", "error"])
-        for rec in report.records:
-            writer.writerow(
-                [
-                    report.sweep_param,
-                    io.format_metric(rec.sweep_value),
-                    rec.method,
-                    rec.replicate,
-                    io.format_metric(rec.sse_log),
-                    io.format_metric(rec.pmse_log),
-                    "" if rec.k_used is None else rec.k_used,
-                    rec.error or "",
-                ]
-            )
-    with open(aggregate_path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(
-            [
-                "sweep_param",
-                "value",
-                "method",
-                "n_ok",
-                "n_failed",
-                "mean_sse_log",
-                "se_sse_log",
-                "mean_pmse_log",
-                "se_pmse_log",
-            ]
-        )
-        for row in report.aggregates:
-            writer.writerow(
-                [
-                    report.sweep_param,
-                    io.format_metric(row.sweep_value),
-                    row.method,
-                    row.n_ok,
-                    row.n_failed,
-                    io.format_metric(row.mean_sse_log),
-                    io.format_metric(row.se_sse_log),
-                    io.format_metric(row.mean_pmse_log),
-                    io.format_metric(row.se_pmse_log),
-                ]
-            )
+    for path, record_type, rows in (
+        (records_path, CellResult, report.records),
+        (aggregate_path, AggregateRow, report.aggregates),
+    ):
+        with open(path, "w", newline="") as fh:
+            writer = csv.writer(fh)
+            writer.writerow(["sweep_param", *_columns(record_type)])
+            writer.writerows([report.sweep_param, *_values(row, io.format_metric)] for row in rows)
 
 
 def report_to_obj(report: ExperimentReport) -> dict[str, Any]:
     return {
         "sweep_param": report.sweep_param,
-        "records": [
-            {
-                "value": rec.sweep_value,
-                "method": rec.method,
-                "replicate": rec.replicate,
-                "sse_log": io.metric_to_json_value(rec.sse_log),
-                "pmse_log": io.metric_to_json_value(rec.pmse_log),
-                "k_used": rec.k_used,
-                "error": rec.error,
-            }
-            for rec in report.records
-        ],
+        "records": [dict(zip(_columns(CellResult), _values(r, io.metric_to_json_value))) for r in report.records],
         "aggregates": [
-            {
-                "value": row.sweep_value,
-                "method": row.method,
-                "n_ok": row.n_ok,
-                "n_failed": row.n_failed,
-                "mean_sse_log": io.metric_to_json_value(row.mean_sse_log),
-                "se_sse_log": io.metric_to_json_value(row.se_sse_log),
-                "mean_pmse_log": io.metric_to_json_value(row.mean_pmse_log),
-                "se_pmse_log": io.metric_to_json_value(row.se_pmse_log),
-            }
-            for row in report.aggregates
+            dict(zip(_columns(AggregateRow), _values(r, io.metric_to_json_value))) for r in report.aggregates
         ],
     }
 
@@ -522,14 +478,7 @@ def k_selection_to_obj(report: KSelectionReport) -> dict[str, Any]:
     return {
         "k_star": report.k_star,
         "records": [
-            {
-                "sigma_w": rec.sigma_w,
-                "replicate": rec.replicate,
-                "selector": rec.selector,
-                "k_hat": rec.k_hat,
-                "error": rec.error,
-            }
-            for rec in report.records
+            dict(zip(_columns(KSelectionRecord), _values(r, io.metric_to_json_value))) for r in report.records
         ],
         "summary": [
             {
@@ -551,14 +500,5 @@ def cv_report_to_obj(report: CVReport) -> dict[str, Any]:
             method: io.metric_to_json_value(report.mean_pmse_log(method))
             for method in report.methods()
         },
-        "records": [
-            {
-                "fold": rec.fold,
-                "method": rec.method,
-                "pmse_log": io.metric_to_json_value(rec.pmse_log),
-                "k_used": rec.k_used,
-                "error": rec.error,
-            }
-            for rec in report.records
-        ],
+        "records": [dict(zip(_columns(CVFoldResult), _values(r, io.metric_to_json_value))) for r in report.records],
     }

@@ -407,6 +407,9 @@ class SimulationConfig:
             raise DataError(
                 "n must exceed p + p(p+1)/2 so the first-stage design is overdetermined"
             )
+        for name in ("eta_dep", "alpha", "sigma_w"):
+            if not np.isfinite(getattr(self, name)):
+                raise DataError(f"{name} must be finite, got {getattr(self, name)}")
         if self.eta_dep < 0:
             raise DataError("eta_dep must be nonnegative")
         if self.alpha < 0:

@@ -4,7 +4,7 @@ import json
 import numpy as np
 import pytest
 
-from deconfound import io, regress, spectral
+from deconfound import bench, io, regress, spectral
 from deconfound.cli import main
 from deconfound.model import Dataset, SimulationConfig
 from deconfound.simulate import generate
@@ -201,6 +201,33 @@ class TestBenchmarkCommand:
         ])
         assert code == 2
         assert not out.exists()
+
+
+class TestBadSweepValues:
+    """A bad sweep value or replicate count exits 2 before any dataset is generated."""
+
+    @pytest.mark.parametrize(
+        "args",
+        [
+            ["benchmark", "--setting", "2", "--sweep", "eta_dep=0.5,0.9,-1", "--replicates", "2"],
+            ["benchmark", "--setting", "1", "--sweep", "alpha=0,inf", "--replicates", "1"],
+            ["select-k", "--sigma-w", "1,0", "--replicates", "1"],
+            ["select-k", "--sigma-w", "1,nan", "--replicates", "1"],
+        ],
+    )
+    def test_exits_2_before_any_bundle(self, tmp_path, monkeypatch, args):
+        calls = []
+        monkeypatch.setattr(bench, "_run_bundle", lambda job: calls.append(job))
+        monkeypatch.setattr(bench, "_run_k_selection_cell", lambda job: calls.append(job))
+        out = tmp_path / "out"
+        assert main(args + ["--out", str(out)]) == 2
+        assert calls == [] and not out.exists()
+
+    def test_zero_replicates_worded_alike(self, tmp_path, capsys):
+        assert main(["benchmark", "--sweep", "eta_dep=0.5", "--replicates", "0", "--out", str(tmp_path)]) == 2
+        assert main(["select-k", "--sigma-w", "1", "--replicates", "0", "--out", str(tmp_path)]) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert err == ["deconfound: data error: replicates must be a positive integer, got 0"] * 2
 
 
 class TestSelectKCommand:

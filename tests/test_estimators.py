@@ -497,8 +497,8 @@ class TestRowSpaceCore:
 
     def test_one_first_stage_per_dataset_and_cores_released(self, monkeypatch):
         ds, truth = generate(SimulationConfig(n=40, m=60, p=2, k=3, seed=24))
-        calls, refs = [], []
-        first, diagonal = regress.fit_first_stage, regress.fit_diagonal_surfaces
+        calls, refs, stages = [], [], []
+        first, diagonal, stage_type = regress.fit_first_stage, regress.fit_diagonal_surfaces, estimators._Stage
 
         def counted_first(*args):
             calls.append(args)
@@ -511,11 +511,18 @@ class TestRowSpaceCore:
                 refs.extend(weakref.ref(core) for core in surfaces)
             return surfaces
 
+        def kept_stage(dataset):
+            # held past the run, so only close() can free the cores
+            stages.append(stage_type(dataset))
+            return stages[-1]
+
         monkeypatch.setattr(regress, "fit_first_stage", counted_first)
         monkeypatch.setattr(regress, "fit_diagonal_surfaces", tracked_cores)
+        monkeypatch.setattr(estimators, "_Stage", kept_stage)
         gc.disable()
         try:
             outcomes = bench._run_dataset(ds, METHODS, k=3, k_star=None, n_iter=5, truth=truth)
+            assert len(stages) == 1
             assert len(calls) == 1 and len(refs) == 3 and all(ref() is None for ref in refs)
         finally:
             gc.enable()

@@ -162,3 +162,9 @@ class TestSimulationConfig:
         with pytest.raises(DataError):
             SimulationConfig(n=100, m=25, p=2, k=3, second_param="sd")
         SimulationConfig(n=100, m=25, p=2, k=3, second_param="stddev")
+
+    @pytest.mark.parametrize("name", ["eta_dep", "alpha", "sigma_w"])
+    @pytest.mark.parametrize("value", [float("nan"), float("inf")])
+    def test_non_finite_parameter(self, name, value):
+        with pytest.raises(DataError, match=f"{name} must be finite"):
+            SimulationConfig(n=100, m=25, p=2, k=3, **{name: value})

@@ -42,7 +42,6 @@ datasets, since their results are then not comparable. Needs only numpy.
 
 from __future__ import annotations
 
-import inspect
 import os
 import pickle
 import subprocess
@@ -112,13 +111,10 @@ def run_tree(src: str, out_path: str) -> None:
         return [(r.method, r.k_used, r.error) for r in report.records]
 
     def cv_rows(report):
-        return [(f"fold {r.fold} {r.method}", r.k_used, getattr(r, "error", None)) for r in report.records]
+        return [(f"fold {r.fold} {r.method}", r.k_used, r.error) for r in report.records]
 
     regress.fit_projected_ols = capture_basis
     spectral.build_projection = capture_blocks
-    cv_known = {"k": 3}
-    if "k_policy" in inspect.signature(bench.cross_validate).parameters:
-        cv_known["k_policy"] = "known"  # older trees ignore k unless the policy says so
     results = {}
     for setting, (m, n, seeds) in SETTINGS.items():
         for noise_name, (noise, alpha) in NOISES.items():
@@ -166,7 +162,7 @@ def run_tree(src: str, out_path: str) -> None:
                     results[(case, f"bundle {policy}")] = run(lambda: bench.run_grid(grid), bundle_rows)
                 cv_methods = [method for method in METHODS if method != "oracle"]
                 results[(case, "cv 3-fold")] = run(
-                    lambda: bench.cross_validate(dataset, 3, cv_methods, **cv_known), cv_rows
+                    lambda: bench.cross_validate(dataset, 3, cv_methods, k=3), cv_rows
                 )
     with open(out_path, "wb") as fh:
         pickle.dump(results, fh)
