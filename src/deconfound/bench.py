@@ -75,6 +75,22 @@ def _cell_config(base: SimulationConfig, sweep_param: str, value: float, rep: in
     return replace(base, **{sweep_param: value, "seed": replicate_seed(base.seed, sweep_param, value, rep)})
 
 
+def _check_sweep(base: SimulationConfig, sweep_param: str, values) -> tuple[float, ...]:
+    """The sweep values as floats; DataError if there are none, or one is bad or repeated.
+
+    Each value's config is built here, so a bad value fails before any
+    bundle runs. A repeated value would draw the same datasets twice.
+    """
+    values = tuple(float(v) for v in values)
+    if not values:
+        raise DataError(f"{sweep_param} sweep list must be nonempty")
+    for i, value in enumerate(values):
+        _cell_config(base, sweep_param, value, 0)
+        if value in values[:i]:
+            raise DataError(f"{sweep_param} sweep list repeats the value {value}")
+    return values
+
+
 def _check_methods(methods) -> None:
     if not methods:
         raise DataError("methods list must be nonempty")
@@ -83,9 +99,11 @@ def _check_methods(methods) -> None:
             raise DataError(f"unknown method tag {method!r}")
 
 
-def _check_positive(value: int | None, name: str) -> None:
-    """DataError unless value is None or a positive integer."""
-    if value is not None and value < 1:
+def _check_positive(value: int | None, name: str, *, optional: bool = False) -> None:
+    """DataError unless value is a positive integer, or None where optional."""
+    if value is None and optional:
+        return
+    if not isinstance(value, (int, np.integer)) or value < 1:
         raise DataError(f"{name} must be a positive integer, got {value}")
 
 
@@ -104,19 +122,15 @@ class ExperimentGrid:
     n_star: int = DEFAULT_N_TEST
 
     def __post_init__(self):
-        object.__setattr__(self, "sweep_values", tuple(float(v) for v in self.sweep_values))
         object.__setattr__(self, "methods", tuple(self.methods))
         if self.sweep_param not in SWEEP_PARAMS:
             raise DataError(f"sweep parameter must be one of {SWEEP_PARAMS}")
-        if not self.sweep_values:
-            raise DataError("sweep list must be nonempty")
-        for value in self.sweep_values:
-            self.config_for(value, 0)  # a bad value fails here, before any bundle runs
+        object.__setattr__(self, "sweep_values", _check_sweep(self.base, self.sweep_param, self.sweep_values))
         _check_positive(self.replicates, "replicates")
         _check_methods(self.methods)
         if self.k_policy not in K_POLICIES:
             raise DataError(f"k policy must be one of {K_POLICIES}")
-        _check_positive(self.k_star, "k_star")
+        _check_positive(self.k_star, "k_star", optional=True)
         estimators._check_n_iter(self.n_iter)
 
     def config_for(self, value: float, rep: int) -> SimulationConfig:
@@ -223,8 +237,8 @@ def _run_dataset(
     is selected per selector family, bounded by k_star (None: default_k_star).
     An invalid k, k_star or n_iter raises DataError at once.
     """
-    _check_positive(k, "k")
-    _check_positive(k_star, "k_star")
+    _check_positive(k, "k", optional=True)
+    _check_positive(k_star, "k_star", optional=True)
     estimators._check_n_iter(n_iter)
     if k_star is None:
         k_star = spectral.default_k_star(dataset.n, dataset.m)
@@ -344,11 +358,9 @@ def run_k_selection(
     """
     _check_positive(replicates, "replicates")
     _check_positive(k_star, "k_star")
-    if not sigma_w_values:
-        raise DataError("sigma_w list must be nonempty")
     jobs = [
-        (_cell_config(base, "sigma_w", float(value), rep), rep, k_star)
-        for value in sigma_w_values
+        (_cell_config(base, "sigma_w", value, rep), rep, k_star)
+        for value in _check_sweep(base, "sigma_w", sigma_w_values)
         for rep in range(replicates)
     ]
     cells = _map(_run_k_selection_cell, jobs, workers)

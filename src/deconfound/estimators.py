@@ -12,7 +12,7 @@ import numpy as np
 
 from . import regress, spectral
 from .errors import DataError, DeconfoundError, DimensionMismatchError, NumericalError
-from .model import METHODS, Dataset, DebiasedEstimate, GroundTruth, ProjectionBasis
+from .model import METHODS, Dataset, DebiasedEstimate, GroundTruth, ProjectionBasis, _require_finite
 from .spectral import SpectrumSummary
 
 DEFAULT_N_ITER = 5
@@ -97,11 +97,15 @@ class _Stage:
 
     def _rule(self, family: str, eps: np.ndarray, which: list[int]) -> list[np.ndarray]:
         """Step 3: the family's surfaces `which`, built from the outer products of the rows of eps."""
-        if family == "non_interaction":
-            return [(eps.T @ eps) / self.dataset.n]
         with _step(3, "covariance regression"):
-            weights = self._shared("weights", lambda: regress.diagonal_weights(self.dataset.X))
-            return regress.fit_diagonal_surfaces(eps, weights, which)
+            if family == "non_interaction":
+                surfaces = [(eps.T @ eps) / self.dataset.n]
+            else:
+                weights = self._shared("weights", lambda: regress.diagonal_weights(self.dataset.X))
+                surfaces = regress.fit_diagonal_surfaces(eps, weights, which)
+            for i, surface in zip(which, surfaces):
+                _require_finite(surface, self.names[family][i])
+            return surfaces
 
     def surface(self, family: str, i: int) -> np.ndarray:
         """The family's m x m surface i (for interaction, 0 is phi_B and j + 1 is phi_C(j)), built on first read.

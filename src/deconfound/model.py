@@ -37,10 +37,11 @@ NOISE_KINDS = ("homoscedastic", "heteroscedastic")
 
 
 def _freeze(a: np.ndarray, name: str, ndim: int = 2) -> np.ndarray:
-    """Copy to a read-only float64 array with the expected rank."""
+    """Copy to a read-only, finite float64 array with the expected rank."""
     arr = np.array(a, dtype=float)
     if arr.ndim != ndim:
         raise DimensionMismatchError(f"{name} must be a {ndim}-d array, got shape {arr.shape}")
+    _require_finite(arr, name)
     arr.setflags(write=False)
     return arr
 
@@ -51,9 +52,9 @@ def _require_finite(arr: np.ndarray, name: str) -> None:
         raise NonFiniteError(f"{name} has a non-finite entry at row {bad[0]}, column {bad[1]}")
 
 
-def interaction_pair_count(p: int) -> int:
-    """Number of ordered covariate pairs (j, k) with j <= k."""
-    return p * (p + 1) // 2
+def interaction_pairs(p: int) -> tuple[tuple[int, int], ...]:
+    """Ordered covariate pairs (j, k), j <= k, in lexicographic order."""
+    return tuple((j, k) for j in range(p) for k in range(j, p))
 
 
 @dataclass(frozen=True)
@@ -72,8 +73,6 @@ class Dataset:
             )
         if self.X.shape[0] < 1:
             raise DataError("dataset needs at least one sample")
-        _require_finite(self.X, "X")
-        _require_finite(self.Y, "Y")
 
     @property
     def n(self) -> int:
@@ -113,6 +112,9 @@ class NoiseSpec:
     def __post_init__(self):
         if self.kind not in NOISE_KINDS:
             raise DataError(f"unknown noise kind {self.kind!r}")
+        for name, value in (("sigma2", self.sigma2), ("alpha", self.alpha)):
+            if value is not None and not np.isfinite(value):
+                raise DataError(f"noise {name} must be finite, got {value}")
         if self.kind == "homoscedastic":
             if self.sigma2 is None or not self.sigma2 > 0:
                 raise DataError("homoscedastic noise requires sigma2 > 0")
@@ -174,10 +176,8 @@ class GroundTruth:
             raise DataError(f"(p+1)*K = {(p + 1) * k} exceeds m = {m}")
         if self.tau2 is not None and self.tau2.shape != (m,):
             raise DimensionMismatchError(f"tau2 must have length m = {m}, got {self.tau2.shape}")
-        for name, arr in (("A", self.A), ("B", self.B), ("psi", self.psi)):
-            _require_finite(arr, name)
-        for j, c in enumerate(self.C):
-            _require_finite(c, f"C[{j}]")
+        if self.tau2 is not None and np.any(self.tau2 < 0):
+            raise DataError(f"tau2 must be nonnegative, got {float(np.min(self.tau2))}")
 
     @property
     def p(self) -> int:
@@ -213,17 +213,14 @@ class FirstStageFit:
         object.__setattr__(self, "L2", _freeze(self.L2, "L2"))
         object.__setattr__(self, "residuals", _freeze(self.residuals, "residuals"))
         p, m = self.L1.shape
-        if self.L2.shape != (interaction_pair_count(p), m):
+        if self.L2.shape != (len(interaction_pairs(p)), m):
             raise DimensionMismatchError(
-                f"L2 must be ({interaction_pair_count(p)}, {m}), got {self.L2.shape}"
+                f"L2 must be ({len(interaction_pairs(p))}, {m}), got {self.L2.shape}"
             )
         if self.residuals.shape[1] != m:
             raise DimensionMismatchError(
                 f"residuals must have m = {m} columns, got {self.residuals.shape[1]}"
             )
-        _require_finite(self.L1, "L1")
-        _require_finite(self.L2, "L2")
-        _require_finite(self.residuals, "residuals")
 
     @property
     def p(self) -> int:
@@ -264,26 +261,17 @@ class CovarianceFit:
             pair: _freeze(mat, f"phi_CC[{pair}]") for pair, mat in sorted(self.phi_CC.items())
         }
         object.__setattr__(self, "phi_CC", MappingProxyType(frozen))
-        m = self.phi_B.shape[0]
-        if self.phi_B.shape != (m, m):
-            raise DimensionMismatchError(f"phi_B must be square, got {self.phi_B.shape}")
-        p = len(self.phi_BC)
-        expected_pairs = {(j, k) for j in range(p) for k in range(j, p)}
-        if set(self.phi_CC.keys()) != expected_pairs:
+        pairs = interaction_pairs(len(self.phi_BC))
+        if set(self.phi_CC.keys()) != set(pairs):
             raise DimensionMismatchError(
-                f"phi_CC must be keyed by the {interaction_pair_count(p)} ordered pairs for p = {p}"
+                f"phi_CC must be keyed by the {len(pairs)} ordered pairs for p = {len(self.phi_BC)}"
             )
+        m = self.phi_B.shape[0]
         for name, mat in self._all_surfaces():
             if mat.shape != (m, m):
                 raise DimensionMismatchError(f"{name} must be ({m}, {m}), got {mat.shape}")
-            _require_finite(mat, name)
-        scale = 1.0 + float(np.max(np.abs(self.phi_B)))
-        if _max_asymmetry(self.phi_B) > SYMMETRY_TOL * scale:
-            raise DataError("phi_B is not symmetric to tolerance")
-        for pair, mat in self.phi_CC.items():
-            scale = 1.0 + float(np.max(np.abs(mat)))
-            if _max_asymmetry(mat) > SYMMETRY_TOL * scale:
-                raise DataError(f"phi_CC[{pair}] is not symmetric to tolerance")
+            if _max_asymmetry(mat) > SYMMETRY_TOL * (1.0 + float(np.max(np.abs(mat)))):
+                raise DataError(f"{name} is not symmetric to tolerance")
 
     def _all_surfaces(self):
         yield "phi_B", self.phi_B
@@ -323,7 +311,6 @@ class ProjectionBasis:
         gram = self.U.T @ self.U
         if r and float(np.max(np.abs(gram - np.eye(r)))) > ORTHONORMAL_TOL:
             raise DataError("basis columns are not orthonormal to tolerance")
-        _require_finite(self.U, "U")
 
     @classmethod
     def empty(cls, m: int) -> "ProjectionBasis":
@@ -365,7 +352,6 @@ class DebiasedEstimate:
             raise DataError("k_used must be a positive integer when given")
         if self.t_used is not None and self.t_used < 1:
             raise DataError("t_used must be a positive integer when given")
-        _require_finite(self.theta, "theta")
 
     @property
     def p(self) -> int:
@@ -403,7 +389,7 @@ class SimulationConfig:
                 raise DataError(f"{name} must be a positive integer")
         if (self.p + 1) * self.k > self.m:
             raise DataError(f"(p+1)*K = {(self.p + 1) * self.k} exceeds m = {self.m}")
-        if self.n <= self.p + interaction_pair_count(self.p):
+        if self.n <= self.p + len(interaction_pairs(self.p)):
             raise DataError(
                 "n must exceed p + p(p+1)/2 so the first-stage design is overdetermined"
             )

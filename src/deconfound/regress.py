@@ -15,16 +15,11 @@ from .model import (
     DebiasedEstimate,
     FirstStageFit,
     ProjectionBasis,
-    _require_finite,
+    interaction_pairs,
 )
 
 #: Relative singular-value cutoff below which a design counts as rank deficient.
 SV_RTOL = 1e-10
-
-
-def interaction_pairs(p: int) -> tuple[tuple[int, int], ...]:
-    """Ordered covariate pairs (j, k), j <= k, in lexicographic order."""
-    return tuple((j, k) for j in range(p) for k in range(j, p))
 
 
 def expand_interactions(X: np.ndarray) -> np.ndarray:
@@ -147,12 +142,7 @@ def fit_diagonal_surfaces(eps: np.ndarray, weights: np.ndarray, which: list[int]
     builds it. With eps = R^T from the reduced QR eps^T = Q R, each is the
     min(n, m) x min(n, m) core of that surface, which is Q core Q^T.
     """
-    return [_finite(_contract_outer_products(eps, weights[i]), i) for i in which]
-
-
-def _finite(surface: np.ndarray, i: int) -> np.ndarray:
-    _require_finite(surface, "phi_B" if i == 0 else f"phi_C[{i - 1}]")
-    return surface
+    return [_contract_outer_products(eps, weights[i]) for i in which]
 
 
 def _contract_outer_products(eps: np.ndarray, weights: np.ndarray) -> np.ndarray:

@@ -70,9 +70,20 @@ def structural_response(X: np.ndarray, Z: np.ndarray, truth: GroundTruth) -> np.
     return out
 
 
+def _draw_rows(config: SimulationConfig, truth: GroundTruth, n: int, suffix: str) -> Dataset:
+    """n observed rows at the given truth, from the blocks X, W and E with the given suffix."""
+    x = _draw_design(config, n, "X" + suffix)
+    w = truth.sigma_w * _rng(config.seed, "W" + suffix).standard_normal((n, truth.k))
+    # noise is drawn after the response and added in place, so at most two
+    # n x m arrays are alive at once
+    y = structural_response(x, x @ truth.psi + w, truth)
+    y += _draw_noise(config, truth.noise, truth.tau2, n, "E" + suffix)
+    return Dataset(X=x, Y=y)
+
+
 def generate(config: SimulationConfig) -> tuple[Dataset, GroundTruth]:
     """Draw one (Dataset, GroundTruth) pair for the given configuration."""
-    p, k, m, n = config.p, config.k, config.m, config.n
+    p, k, m = config.p, config.k, config.m
     sp = config.second_param
     psi = config.eta_dep * _normal(_rng(config.seed, "psi"), 0.5, 0.1, (p, k), sp)
     a = _normal(_rng(config.seed, "A"), 0.5, 0.1, (p, m), sp)
@@ -93,11 +104,7 @@ def generate(config: SimulationConfig) -> tuple[Dataset, GroundTruth]:
         noise=noise,
         tau2=tau2,
     )
-    x = _draw_design(config, n, "X")
-    w = config.sigma_w * _rng(config.seed, "W").standard_normal((n, k))
-    y = structural_response(x, x @ truth.psi + w, truth)
-    y += _draw_noise(config, noise, tau2, n, "E")
-    return Dataset(X=x, Y=y), truth
+    return _draw_rows(config, truth, config.n, ""), truth
 
 
 def generate_test_split(
@@ -117,10 +124,4 @@ def generate_test_split(
         )
     if truth.noise.kind == "heteroscedastic" and truth.tau2 is None:
         raise DataError("heteroscedastic truth is missing its tau2 profile")
-    x = _draw_design(config, n_star, "X_test")
-    w = truth.sigma_w * _rng(config.seed, "W_test").standard_normal((n_star, truth.k))
-    # noise is drawn after the response and added in place, so at most two
-    # n_star x m arrays are alive at once
-    y = structural_response(x, x @ truth.psi + w, truth)
-    y += _draw_noise(config, truth.noise, truth.tau2, n_star, "E_test")
-    return Dataset(X=x, Y=y)
+    return _draw_rows(config, truth, n_star, "_test")

@@ -12,7 +12,7 @@ from deconfound.bench import (
     snr,
     sse_log,
 )
-from deconfound import regress
+from deconfound import bench, regress
 from deconfound.errors import DataError, DimensionMismatchError
 from deconfound.model import Dataset, GroundTruth, NoiseSpec, SimulationConfig
 from deconfound.simulate import generate
@@ -247,6 +247,29 @@ class TestRunKSelection:
             run_k_selection(base, [1.0], k_star=3, replicates=0)
         with pytest.raises(DataError, match="workers"):
             run_k_selection(base, [1.0], k_star=3, replicates=2, workers=0)
+
+
+class TestNoneCounts:
+    """A count of None raises DataError at once, before any bundle or pool starts."""
+
+    @pytest.mark.parametrize(
+        "call",
+        [
+            lambda: _tiny_grid(replicates=None),
+            lambda: run_grid(_tiny_grid(), workers=None),
+            lambda: run_k_selection(SimulationConfig(n=60, m=12, p=2, k=2, seed=8), [1.0], k_star=3, replicates=None),
+            lambda: run_k_selection(SimulationConfig(n=60, m=12, p=2, k=2, seed=8), [1.0], k_star=3, replicates=2, workers=None),
+        ],
+        ids=["grid replicates", "grid workers", "select-k replicates", "select-k workers"],
+    )
+    def test_none_rejected(self, monkeypatch, call):
+        calls = []
+        monkeypatch.setattr(bench, "_run_bundle", lambda job: calls.append(job))
+        monkeypatch.setattr(bench, "_run_k_selection_cell", lambda job: calls.append(job))
+        monkeypatch.setattr(bench, "ProcessPoolExecutor", lambda **kwargs: calls.append(kwargs))
+        with pytest.raises(DataError, match="must be a positive integer, got None"):
+            call()
+        assert calls == []
 
 
 class TestFoldIndices:

@@ -223,6 +223,22 @@ class TestBadSweepValues:
         assert main(args + ["--out", str(out)]) == 2
         assert calls == [] and not out.exists()
 
+    @pytest.mark.parametrize(
+        "args, value",
+        [
+            (["benchmark", "--setting", "1", "--sweep", "eta_dep=0.5,0.9,0.5", "--replicates", "2"], "eta_dep sweep list repeats the value 0.5"),
+            (["select-k", "--sigma-w", "1,1", "--replicates", "1"], "sigma_w sweep list repeats the value 1.0"),
+        ],
+    )
+    def test_repeated_value_exits_2_before_any_bundle(self, tmp_path, monkeypatch, capsys, args, value):
+        calls = []
+        monkeypatch.setattr(bench, "_run_bundle", lambda job: calls.append(job))
+        monkeypatch.setattr(bench, "_run_k_selection_cell", lambda job: calls.append(job))
+        out = tmp_path / "out"
+        assert main(args + ["--out", str(out)]) == 2
+        assert calls == [] and not out.exists()
+        assert capsys.readouterr().err == f"deconfound: data error: {value}\n"
+
     def test_zero_replicates_worded_alike(self, tmp_path, capsys):
         assert main(["benchmark", "--sweep", "eta_dep=0.5", "--replicates", "0", "--out", str(tmp_path)]) == 2
         assert main(["select-k", "--sigma-w", "1", "--replicates", "0", "--out", str(tmp_path)]) == 2

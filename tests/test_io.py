@@ -68,6 +68,26 @@ class TestJSONDocuments:
         with pytest.raises(DataError):
             io.obj_to_matrix({"shape": [2, 2], "data": [1.0]})
 
+    @pytest.mark.parametrize(
+        "edit, match",
+        [
+            (
+                lambda obj: obj.update(noise={"kind": "homoscedastic", "sigma2": float("inf"), "alpha": None}, tau2=None),
+                "noise sigma2 must be finite",
+            ),
+            (lambda obj: obj["noise"].update(alpha=float("nan")), "noise alpha must be finite"),
+            (lambda obj: obj["tau2"].__setitem__(3, -0.5), "tau2 must be nonnegative"),
+        ],
+        ids=["sigma2 inf", "alpha nan", "tau2 negative"],
+    )
+    def test_bad_noise_inputs_rejected(self, edit, match):
+        cfg = SimulationConfig(n=20, m=8, p=2, k=2, noise="heteroscedastic", alpha=4.0, seed=2)
+        obj = io.ground_truth_to_obj(generate(cfg)[1])
+        io.ground_truth_from_obj(obj)
+        edit(obj)
+        with pytest.raises(DataError, match=match):
+            io.ground_truth_from_obj(obj)
+
 
 class TestMetricFormatting:
     def test_minus_inf_as_string(self):

@@ -1,8 +1,11 @@
+import re
+
 import numpy as np
 import pytest
 
 from deconfound.errors import DataError, DimensionMismatchError, NonFiniteError
 from deconfound.model import (
+    CovarianceFit,
     Dataset,
     DebiasedEstimate,
     FirstStageFit,
@@ -168,3 +171,69 @@ class TestSimulationConfig:
     def test_non_finite_parameter(self, name, value):
         with pytest.raises(DataError, match=f"{name} must be finite"):
             SimulationConfig(n=100, m=25, p=2, k=3, **{name: value})
+
+
+_SURFACES = dict(phi_B=np.eye(4), phi_BC=(np.eye(4), np.eye(4)), phi_CC={(0, 0): np.eye(4), (0, 1): np.eye(4), (1, 1): np.eye(4)})
+
+#: One valid keyword set per frozen type, and every stored array as (field, index, name).
+_FROZEN = [
+    (Dataset, dict(X=np.zeros((3, 2)), Y=np.ones((3, 4))), [("X", None, "X"), ("Y", None, "Y")]),
+    (
+        GroundTruth,
+        dict(
+            A=np.ones((2, 8)), B=np.ones((2, 8)), C=(np.ones((2, 8)), np.ones((2, 8))), psi=np.ones((2, 2)),
+            sigma_w=1.0, noise=NoiseSpec.heteroscedastic(1.0), tau2=np.ones(8),
+        ),
+        [("A", None, "A"), ("B", None, "B"), ("C", 0, "C[0]"), ("C", 1, "C[1]"), ("psi", None, "psi"),
+         ("tau2", None, "tau2")],
+    ),
+    (
+        FirstStageFit,
+        dict(L1=np.zeros((2, 4)), L2=np.zeros((3, 4)), residuals=np.zeros((5, 4))),
+        [("L1", None, "L1"), ("L2", None, "L2"), ("residuals", None, "residuals")],
+    ),
+    (ProjectionBasis, dict(U=np.eye(4)[:, :2]), [("U", None, "U")]),
+    (DebiasedEstimate, dict(theta=np.zeros((2, 4)), method="ols"), [("theta", None, "theta")]),
+    (
+        CovarianceFit,
+        _SURFACES,
+        [("phi_B", None, "phi_B"), ("phi_BC", 0, "phi_BC[0]"), ("phi_BC", 1, "phi_BC[1]")]
+        + [("phi_CC", pair, f"phi_CC[{pair}]") for pair in _SURFACES["phi_CC"]],
+    ),
+]
+
+
+def _with_nan(kwargs: dict, field: str, index) -> dict:
+    """kwargs with the last entry of kwargs[field] (or of kwargs[field][index]) set to NaN."""
+
+    def poisoned(a):
+        a = np.array(a, dtype=float)
+        a.flat[-1] = np.nan
+        return a
+
+    value = kwargs[field]
+    if index is None:
+        value = poisoned(value)
+    elif isinstance(value, dict):
+        value = {**value, index: poisoned(value[index])}
+    else:
+        value = tuple(poisoned(a) if i == index else a for i, a in enumerate(value))
+    return {**kwargs, field: value}
+
+
+class TestFrozenArraysAreFinite:
+    @pytest.mark.parametrize(
+        "cls, kwargs, field, index, name",
+        [(cls, kwargs, *where) for cls, kwargs, fields in _FROZEN for where in fields],
+        ids=[f"{cls.__name__}.{where[2]}" for cls, _, fields in _FROZEN for where in fields],
+    )
+    def test_nan_rejected_and_named(self, cls, kwargs, field, index, name):
+        cls(**kwargs)
+        with pytest.raises(NonFiniteError, match=f"^{re.escape(name)} has a non-finite entry"):
+            cls(**_with_nan(kwargs, field, index))
+
+    def test_asymmetric_phi_bc_rejected(self):
+        skew = np.eye(4)
+        skew[0, 1] = 1.0
+        with pytest.raises(DataError, match=re.escape("phi_BC[0] is not symmetric")):
+            CovarianceFit(**{**_SURFACES, "phi_BC": (skew, np.eye(4))})

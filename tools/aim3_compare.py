@@ -37,11 +37,13 @@ over every fit of both kinds of call, and whether any K selection, fit
 outcome, recorded K or recorded error changed. It exits 1 when a result
 breaks ROADMAP aim 3 (sin-theta above 1e-10, theta error above 1e-8, a
 changed selection or outcome), or when the two trees draw different
-datasets, since their results are then not comparable. Needs only numpy.
+datasets or different N_STAR-row test splits (compared bitwise, by
+digest), since their results are then not comparable. Needs only numpy.
 """
 
 from __future__ import annotations
 
+import hashlib
 import os
 import pickle
 import subprocess
@@ -79,7 +81,7 @@ def run_tree(src: str, out_path: str) -> None:
     from deconfound import bench, estimators, regress, spectral
     from deconfound.errors import DeconfoundError
     from deconfound.model import SimulationConfig
-    from deconfound.simulate import generate
+    from deconfound.simulate import generate, generate_test_split
 
     if not os.path.abspath(estimators.__file__).startswith(os.path.abspath(src)):
         raise SystemExit(f"imported deconfound from {estimators.__file__}, not from {src}")
@@ -123,6 +125,8 @@ def run_tree(src: str, out_path: str) -> None:
                 config = SimulationConfig(n=n, m=m, p=2, k=3, noise=noise, alpha=alpha, seed=seed)
                 dataset, truth = generate(config)
                 results[(case, "data")] = (dataset.X, dataset.Y)
+                test = generate_test_split(config, truth, N_STAR)
+                results[(case, "test split")] = hashlib.sha256(test.X.tobytes() + test.Y.tobytes()).hexdigest()
                 for method in METHODS:
                     captured.clear()
                     try:
@@ -196,7 +200,7 @@ def _outcome(result) -> str:
 
 def compare(parent: dict, change: dict) -> int:
     worst_basis, worst_theta = (0.0, "-"), (0.0, "-")
-    changed_k, changed_fits, n_selections, n_fits, n_runs, n_long = [], [], 0, 0, 0, 0
+    changed_k, changed_fits, n_selections, n_fits, n_runs, n_long, n_splits = [], [], 0, 0, 0, 0, 0
 
     def compare_basis(u_old, u_new, where: str) -> bool:
         nonlocal worst_basis
@@ -223,6 +227,11 @@ def compare(parent: dict, change: dict) -> int:
         if what == "data":
             if not all(np.array_equal(a, b) for a, b in zip(old, new)):
                 print(f"{case}: the two trees draw different datasets; results are not comparable\nFAIL")
+                return 1
+        elif what == "test split":
+            n_splits += 1
+            if old != new:
+                print(f"{case}: the two trees draw different test splits; results are not comparable\nFAIL")
                 return 1
         elif what in SELECTORS:
             n_selections += 1
@@ -263,6 +272,7 @@ def compare(parent: dict, change: dict) -> int:
                 compare_fit(old, new, f"{case} {what}")
     print(f"max basis sin-theta: {worst_basis[0]:.2e} (bound {BASIS_BOUND:.0e}) at {worst_basis[1]}")
     print(f"max theta relative error: {worst_theta[0]:.2e} (bound {THETA_BOUND:.0e}) at {worst_theta[1]}")
+    print(f"test splits compared bitwise: {n_splits}, all identical ({N_STAR} rows per dataset)")
     print(f"bench runs compared: {n_runs} ({', '.join(RUNS)} per dataset)")
     print(f"long HeteroPCA chains compared: {n_long} ({', '.join(LONG_CHAINS)} per S2 and stress dataset)")
     print(f"K selections changed: {len(changed_k)} of {n_selections} (selector calls and K in run records)")
