@@ -20,7 +20,7 @@ import numpy as np
 from . import estimators, io, spectral
 from .errors import DataError, DeconfoundError, DimensionMismatchError
 from .model import METHODS, Dataset, DebiasedEstimate, GroundTruth, SimulationConfig
-from .simulate import DEFAULT_N_TEST, generate, generate_test_split
+from .simulate import DEFAULT_N_TEST, generate, split_statistics
 
 SWEEP_PARAMS = ("eta_dep", "alpha", "sigma_w")
 K_POLICIES = ("known", "selected")
@@ -37,8 +37,7 @@ def sse_log(theta_hat: np.ndarray, a: np.ndarray) -> float:
     if theta_hat.shape != a.shape:
         raise DimensionMismatchError(f"shape mismatch: {theta_hat.shape} vs {a.shape}")
     m = a.shape[1]
-    err = float(np.sum((theta_hat - a) ** 2)) / m
-    return float("-inf") if err == 0.0 else float(np.log(err))
+    return _log_error(float(np.sum((theta_hat - a) ** 2)) / m)
 
 
 def pmse_log(theta_hat: np.ndarray, test: Dataset) -> float:
@@ -50,7 +49,11 @@ def pmse_log(theta_hat: np.ndarray, test: Dataset) -> float:
         )
     resid = test.X @ theta_hat
     np.subtract(test.Y, resid, out=resid)
-    err = float(np.mean(np.square(resid, out=resid)))
+    return _log_error(float(np.mean(np.square(resid, out=resid))))
+
+
+def _log_error(err: float) -> float:
+    """log of a mean squared error; -inf when it is exactly zero."""
     return float("-inf") if err == 0.0 else float(np.log(err))
 
 
@@ -260,23 +263,23 @@ def _run_dataset(
 
 
 def _run_bundle(job: tuple[ExperimentGrid, float, int]) -> list[CellResult]:
-    """Generate one dataset and fit every requested method on it."""
+    """Generate one dataset, fit every requested method on it, and score each fit.
+
+    pmse_log is read from the test split's statistics, so no n_star x m array is built.
+    """
     grid, value, rep = job
     config = grid.config_for(value, rep)
     dataset, truth = generate(config)
+    split = split_statistics(config, truth, grid.n_star)
     k = config.k if grid.k_policy == "known" else None
     outcomes = _run_dataset(dataset, grid.methods, k=k, k_star=grid.k_star, n_iter=grid.n_iter, truth=truth)
-    # Drawn after the fits: drawn first, it leaves the freed stage buffers as holes
-    # too small for pmse_log's n* x m buffers, and the heap grows by one of them.
-    test = generate_test_split(config, truth, grid.n_star)
     results = []
     for method, (est, k_used) in zip(grid.methods, outcomes):
         if isinstance(est, Exception):
             results.append(CellResult(value, method, rep, None, None, k_used, error=str(est)))
         else:
-            results.append(
-                CellResult(value, method, rep, sse_log(est.theta, truth.A), pmse_log(est.theta, test), k_used)
-            )
+            pmse = _log_error(split.mean_squared_error(est.theta))
+            results.append(CellResult(value, method, rep, sse_log(est.theta, truth.A), pmse, k_used))
     return results
 
 

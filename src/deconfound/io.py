@@ -91,6 +91,8 @@ def ground_truth_from_obj(obj: dict[str, Any]) -> GroundTruth:
         )
     except KeyError as err:
         raise DataError(f"ground truth document missing field {err}") from err
+    except (TypeError, ValueError) as err:
+        raise DataError(f"malformed ground truth document: {err}") from err
 
 
 def write_json(path: str | Path, obj: dict[str, Any]) -> None:

@@ -170,6 +170,8 @@ class GroundTruth:
                 raise DimensionMismatchError(f"C[{j}] must be ({k}, {m}), got {c.shape}")
         if self.psi.shape != (p, k):
             raise DimensionMismatchError(f"psi must be ({p}, {k}), got {self.psi.shape}")
+        if not np.isfinite(self.sigma_w):
+            raise DataError(f"sigma_w must be finite, got {self.sigma_w}")
         if not self.sigma_w > 0:
             raise DataError("sigma_w must be positive")
         if (p + 1) * k > m:

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -14,8 +16,8 @@ from deconfound.bench import (
 )
 from deconfound import bench, regress
 from deconfound.errors import DataError, DimensionMismatchError
-from deconfound.model import Dataset, GroundTruth, NoiseSpec, SimulationConfig
-from deconfound.simulate import generate
+from deconfound.model import METHODS, Dataset, GroundTruth, NoiseSpec, SimulationConfig
+from deconfound.simulate import CHUNK_ROWS, generate, generate_test_split, split_statistics
 
 
 class TestSSELog:
@@ -219,6 +221,55 @@ class TestRunGrid:
         for k_star in (0, -1):
             with pytest.raises(DataError, match="k_star"):
                 _tiny_grid(k_policy="selected", k_star=k_star)
+
+
+class TestBundleScoring:
+    """A bundle reads pmse_log from its test split's statistics, never from the split itself."""
+
+    @pytest.mark.parametrize("noise, alpha", [("homoscedastic", 0.0), ("heteroscedastic", 6.0)])
+    @pytest.mark.parametrize("n_star", [2 * CHUNK_ROWS, 2 * CHUNK_ROWS + 37, 100], ids=["chunks", "tail", "one"])
+    def test_streamed_equals_pmse_log_on_the_split(self, noise, alpha, n_star):
+        config = SimulationConfig(n=60, m=12, p=2, k=2, noise=noise, alpha=alpha, seed=31)
+        _, truth = generate(config)
+        split = split_statistics(config, truth, n_star)
+        test = generate_test_split(config, truth, n_star)
+        rng = np.random.default_rng(0)
+        for theta in (truth.A, np.zeros_like(truth.A), truth.A + rng.standard_normal(truth.A.shape)):
+            assert abs(bench._log_error(split.mean_squared_error(theta)) - pmse_log(theta, test)) <= 1e-12
+
+    def test_bundle_cells_equal_pmse_log_on_the_split(self):
+        grid = _tiny_grid(sweep_values=(0.5,), replicates=1, methods=METHODS, n_star=CHUNK_ROWS + 1)
+        config = grid.config_for(0.5, 0)
+        dataset, truth = generate(config)
+        test = generate_test_split(config, truth, grid.n_star)
+        outcomes = bench._run_dataset(dataset, METHODS, k=config.k, k_star=None, n_iter=grid.n_iter, truth=truth)
+        records = run_grid(grid).records
+        assert [r.method for r in records] == list(METHODS)
+        for rec, (est, _) in zip(records, outcomes):
+            assert rec.error is None, rec
+            assert abs(rec.pmse_log - pmse_log(est.theta, test)) <= 1e-12, rec.method
+
+    def test_theta_shape_checked(self):
+        config = SimulationConfig(n=60, m=12, p=2, k=2, seed=31)
+        split = split_statistics(config, generate(config)[1], 10)
+        with pytest.raises(DimensionMismatchError, match=r"needs \(2, 12\)"):
+            split.mean_squared_error(np.zeros((2, 11)))
+
+    @pytest.mark.parametrize("bad", ["tau2 missing", "wrong m", "n_star 0"])
+    def test_bad_split_fails_as_generate_test_split_does(self, monkeypatch, bad):
+        grid = _tiny_grid(sweep_values=(0.5,), replicates=1, methods=("ols",), n_star=0 if bad == "n_star 0" else 100)
+        config = grid.config_for(0.5, 0)
+        dataset, truth = generate(config)
+        if bad == "tau2 missing":
+            truth = replace(truth, noise=NoiseSpec.heteroscedastic(6.0), tau2=None)
+        elif bad == "wrong m":
+            truth = generate(replace(config, m=12))[1]
+        with pytest.raises(DataError) as want:
+            generate_test_split(config, truth, grid.n_star)
+        monkeypatch.setattr(bench, "generate", lambda _config: (dataset, truth))
+        with pytest.raises(DataError) as got:
+            bench._run_bundle((grid, 0.5, 0))
+        assert type(got.value) is type(want.value) and str(got.value) == str(want.value)
 
 
 class TestRunKSelection:

@@ -88,6 +88,22 @@ class TestJSONDocuments:
         with pytest.raises(DataError, match=match):
             io.ground_truth_from_obj(obj)
 
+    @pytest.mark.parametrize(
+        "edit",
+        [
+            lambda obj: obj["noise"].update(kind="homoscedastic", sigma2="1.0", alpha=None),
+            lambda obj: obj.update(sigma_w="one"),
+            lambda obj: obj.update(c=3),
+        ],
+        ids=["sigma2 string", "sigma_w string", "c not a list"],
+    )
+    def test_mistyped_fields_rejected(self, edit):
+        cfg = SimulationConfig(n=20, m=8, p=2, k=2, seed=2)
+        obj = io.ground_truth_to_obj(generate(cfg)[1])
+        edit(obj)
+        with pytest.raises(DataError, match="malformed ground truth document"):
+            io.ground_truth_from_obj(obj)
+
 
 class TestMetricFormatting:
     def test_minus_inf_as_string(self):

@@ -3,8 +3,11 @@
 Each relation transforms a simulated dataset and states how theta must
 follow: scaling Y by 2 doubles theta (and leaves the selected K and every
 error string as they were), permuting the responses permutes theta's
-columns, and permuting the rows leaves theta unchanged. Every theta is
-held to the untransformed fit within REL_TOL in relative Frobenius norm.
+columns, and permuting the rows leaves theta unchanged. Rotating the
+responses, Y -> YO with O a random orthogonal m x m matrix, gives theta O
+for the homoscedastic methods only: HeteroPCA and the diagonal weights of
+the hetero methods are not rotation-equivariant. Every theta is held to
+the untransformed fit within REL_TOL in relative Frobenius norm.
 K under a row permutation is not checked here: the selector's ratio test
 reads round-off eigenvalues past a surface's rank, so at n < m its answer
 can change with the row order. That is a known defect of the selector.
@@ -23,6 +26,8 @@ from deconfound.simulate import generate
 #: Relative Frobenius tolerance for every theta relation, fixed before the relations were run.
 REL_TOL = 1e-10
 METHODS = ("interaction_homo", "interaction_hetero", "non_interaction_homo", "non_interaction_hetero")
+#: The methods whose fits are equivariant under a rotation of the responses.
+HOMO_METHODS = ("interaction_homo", "non_interaction_homo")
 #: (m, n): the paper's two settings and a small n < m point.
 SHAPES = {"S1": (25, 1000), "S2": (500, 100), "n40_m60": (60, 40)}
 CASES = [(shape, seed) for shape in SHAPES for seed in range(4)]
@@ -35,9 +40,9 @@ def _dataset(shape: str, seed: int) -> Dataset:
     return generate(SimulationConfig(n=n, m=m, p=2, k=K, noise="heteroscedastic", alpha=6.0, seed=seed))[0]
 
 
-def _outcomes(dataset: Dataset, k: int | None) -> list[tuple[np.ndarray | str, int | None]]:
+def _outcomes(dataset: Dataset, k: int | None, methods=METHODS) -> list[tuple[np.ndarray | str, int | None]]:
     """(theta or error string, k_used) of each method, as one bench bundle computes them."""
-    outcomes = bench._run_dataset(dataset, METHODS, k=k, k_star=None, n_iter=DEFAULT_N_ITER)
+    outcomes = bench._run_dataset(dataset, methods, k=k, k_star=None, n_iter=DEFAULT_N_ITER)
     return [(str(est) if isinstance(est, Exception) else est.theta, k_used) for est, k_used in outcomes]
 
 
@@ -85,3 +90,13 @@ def test_permuting_rows_leaves_theta(shape, seed):
     permuted = Dataset(X=ds.X[perm], Y=ds.Y[perm])
     for method, theta, (got, _) in zip(METHODS, _known(shape, seed), _outcomes(permuted, K)):
         _assert_close(got, theta, method)
+
+
+@pytest.mark.parametrize("shape, seed", CASES)
+def test_rotating_responses_rotates_homoscedastic_theta(shape, seed):
+    ds = _dataset(shape, seed)
+    rotation, _ = np.linalg.qr(np.random.default_rng(seed).standard_normal((ds.m, ds.m)))
+    rotated = Dataset(X=ds.X, Y=ds.Y @ rotation)
+    known = dict(zip(METHODS, _known(shape, seed)))
+    for method, (got, _) in zip(HOMO_METHODS, _outcomes(rotated, K, HOMO_METHODS)):
+        _assert_close(got, known[method] @ rotation, method)

@@ -87,6 +87,12 @@ class TestGroundTruth:
                 sigma_w=1.0, noise=truth.noise,
             )
 
+    @pytest.mark.parametrize("sigma_w", [float("inf"), float("nan")])
+    def test_sigma_w_must_be_finite(self, sigma_w):
+        truth = _truth()
+        with pytest.raises(DataError, match="sigma_w must be finite"):
+            GroundTruth(A=truth.A, B=truth.B, C=truth.C, psi=truth.psi, sigma_w=sigma_w, noise=truth.noise)
+
     def test_rank_budget(self):
         rng = np.random.default_rng(1)
         with pytest.raises(DataError, match="exceeds m"):

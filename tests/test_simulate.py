@@ -5,7 +5,10 @@ from dataclasses import replace
 from deconfound.errors import DataError, DimensionMismatchError
 from deconfound.model import SimulationConfig
 from deconfound.simulate import (
+    CHUNK_ROWS,
+    _draw_noise,
     _draw_tau2,
+    _noise_chunks,
     _rng,
     ar_covariance,
     generate,
@@ -192,3 +195,15 @@ class TestTestSplit:
         )
         emp = resid.var(axis=0)
         assert np.max(np.abs(emp / truth.tau2 - 1.0)) < 0.1
+
+
+class TestNoiseChunks:
+    @pytest.mark.parametrize("noise, alpha", [("homoscedastic", 0.0), ("heteroscedastic", 6.0)])
+    @pytest.mark.parametrize("n", [2 * CHUNK_ROWS, 2 * CHUNK_ROWS + 37, 100], ids=["chunks", "tail", "one"])
+    def test_chunks_are_the_one_shot_draw(self, noise, alpha, n):
+        cfg = SimulationConfig(n=50, m=9, p=2, k=2, noise=noise, alpha=alpha, seed=27)
+        _, truth = generate(cfg)
+        chunks = [(start, rows.copy()) for start, rows in _noise_chunks(cfg, truth.noise, truth.tau2, n, "E_test")]
+        assert [start for start, _ in chunks] == list(range(0, n, CHUNK_ROWS))
+        one_shot = _draw_noise(cfg, truth.noise, truth.tau2, n, "E_test")
+        assert np.array_equal(np.vstack([rows for _, rows in chunks]), one_shot)

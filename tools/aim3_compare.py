@@ -33,8 +33,10 @@ basis and theta like the other fits.
 
 The script prints the largest sin-theta between the projection bases the
 two trees fit with and the largest relative Frobenius error of theta,
-over every fit of both kinds of call, and whether any K selection, fit
-outcome, recorded K or recorded error changed. It exits 1 when a result
+over every fit of both kinds of call, the largest absolute change of
+pmse_log over the run_grid and cross_validate records (printed, not
+gated), and whether any K selection, fit outcome, recorded K or recorded
+error changed. It exits 1 when a result
 breaks ROADMAP aim 3 (sin-theta above 1e-10, theta error above 1e-8, a
 changed selection or outcome), or when the two trees draw different
 datasets or different N_STAR-row test splits (compared bitwise, by
@@ -110,10 +112,10 @@ def run_tree(src: str, out_path: str) -> None:
         return rows(report), list(captured)
 
     def bundle_rows(report):
-        return [(r.method, r.k_used, r.error) for r in report.records]
+        return [(r.method, r.k_used, r.error, r.pmse_log) for r in report.records]
 
     def cv_rows(report):
-        return [(f"fold {r.fold} {r.method}", r.k_used, r.error) for r in report.records]
+        return [(f"fold {r.fold} {r.method}", r.k_used, r.error, r.pmse_log) for r in report.records]
 
     regress.fit_projected_ols = capture_basis
     spectral.build_projection = capture_blocks
@@ -199,8 +201,8 @@ def _outcome(result) -> str:
 
 
 def compare(parent: dict, change: dict) -> int:
-    worst_basis, worst_theta = (0.0, "-"), (0.0, "-")
-    changed_k, changed_fits, n_selections, n_fits, n_runs, n_long, n_splits = [], [], 0, 0, 0, 0, 0
+    worst_basis, worst_theta, worst_pmse = (0.0, "-"), (0.0, "-"), (0.0, "-")
+    changed_k, changed_fits, n_selections, n_fits, n_runs, n_long, n_splits, n_pmse = [], [], 0, 0, 0, 0, 0, 0
 
     def compare_basis(u_old, u_new, where: str) -> bool:
         nonlocal worst_basis
@@ -249,11 +251,16 @@ def compare(parent: dict, change: dict) -> int:
             if [r[0] for r in rows_old] != [r[0] for r in rows_new] or len(fits_old) != len(fits_new):
                 changed_fits.append(f"{case} {what}: {len(fits_old)} fits -> {len(fits_new)}")
                 continue
-            for (label, k_old, err_old), (_, k_new, err_new) in zip(rows_old, rows_new):
+            for (label, k_old, err_old, pmse_old), (_, k_new, err_new, pmse_new) in zip(rows_old, rows_new):
                 if k_old != k_new:
                     changed_k.append(f"{case} {what} {label}: K {k_old} -> {k_new}")
                 if err_old != err_new:
                     changed_fits.append(f"{case} {what} {label}: {err_old or 'ok'} -> {err_new or 'ok'}")
+                elif pmse_old is not None:
+                    n_pmse += 1
+                    delta = 0.0 if pmse_old == pmse_new else abs(pmse_new - pmse_old)
+                    if not delta <= worst_pmse[0]:
+                        worst_pmse = (delta, f"{case} {what} {label}")
             for i, (fit_old, fit_new) in enumerate(zip(fits_old, fits_new)):
                 compare_fit(fit_old, fit_new, f"{case} {what} fit {i}")
         elif what in NULL_SPACE_FITS:
@@ -273,6 +280,7 @@ def compare(parent: dict, change: dict) -> int:
     print(f"max basis sin-theta: {worst_basis[0]:.2e} (bound {BASIS_BOUND:.0e}) at {worst_basis[1]}")
     print(f"max theta relative error: {worst_theta[0]:.2e} (bound {THETA_BOUND:.0e}) at {worst_theta[1]}")
     print(f"test splits compared bitwise: {n_splits}, all identical ({N_STAR} rows per dataset)")
+    print(f"max pmse_log change: {worst_pmse[0]:.2e} over {n_pmse} run records at {worst_pmse[1]}")
     print(f"bench runs compared: {n_runs} ({', '.join(RUNS)} per dataset)")
     print(f"long HeteroPCA chains compared: {n_long} ({', '.join(LONG_CHAINS)} per S2 and stress dataset)")
     print(f"K selections changed: {len(changed_k)} of {n_selections} (selector calls and K in run records)")
