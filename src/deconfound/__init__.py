@@ -67,7 +67,6 @@ from .estimators import (
 )
 from .model import (
     METHODS,
-    CovarianceFit,
     Dataset,
     DebiasedEstimate,
     FirstStageFit,
@@ -77,7 +76,7 @@ from .model import (
     SimulationConfig,
     validate,
 )
-from .regress import expand_interactions, fit_covariance_regression, fit_first_stage, fit_projected_ols, least_squares
+from .regress import expand_interactions, fit_first_stage, fit_projected_ols, least_squares
 from .simulate import generate, generate_test_split
 from .spectral import (
     SpectrumSummary,

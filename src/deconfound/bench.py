@@ -95,11 +95,14 @@ def _check_sweep(base: SimulationConfig, sweep_param: str, values) -> tuple[floa
 
 
 def _check_methods(methods) -> None:
+    """DataError if there are no methods, or one is unknown or repeated (it would be fitted and counted twice)."""
     if not methods:
         raise DataError("methods list must be nonempty")
-    for method in methods:
+    for i, method in enumerate(methods):
         if method not in METHODS:
             raise DataError(f"unknown method tag {method!r}")
+        if method in methods[:i]:
+            raise DataError(f"methods list repeats the tag {method!r}")
 
 
 def _check_positive(value: int | None, name: str, *, optional: bool = False) -> None:
@@ -135,6 +138,7 @@ class ExperimentGrid:
             raise DataError(f"k policy must be one of {K_POLICIES}")
         _check_positive(self.k_star, "k_star", optional=True)
         estimators._check_n_iter(self.n_iter)
+        _check_positive(self.n_star, "n_star")
 
     def config_for(self, value: float, rep: int) -> SimulationConfig:
         return _cell_config(self.base, self.sweep_param, value, rep)

@@ -10,8 +10,6 @@ columns = m, so the direct-effect matrix A is p x m.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from types import MappingProxyType
-from typing import Mapping
 
 import numpy as np
 
@@ -29,9 +27,6 @@ METHODS = (
 
 #: Max-abs tolerance for orthonormality of projection bases.
 ORTHONORMAL_TOL = 1e-10
-
-#: Max-abs tolerance for symmetry of regression-estimated covariance surfaces.
-SYMMETRY_TOL = 1e-8
 
 NOISE_KINDS = ("homoscedastic", "heteroscedastic")
 
@@ -235,64 +230,6 @@ class FirstStageFit:
     @property
     def n(self) -> int:
         return self.residuals.shape[0]
-
-
-def _max_asymmetry(mat: np.ndarray) -> float:
-    return float(np.max(np.abs(mat - mat.T))) if mat.size else 0.0
-
-
-@dataclass(frozen=True)
-class CovarianceFit:
-    """Coefficient surfaces of the residual-covariance regression.
-
-    phi_B is the intercept surface, phi_BC[j] the linear surface for
-    covariate j, and phi_CC[(j, k)] the interaction surface for the
-    ordered pair j <= k (0-based).
-    """
-
-    phi_B: np.ndarray
-    phi_BC: tuple[np.ndarray, ...]
-    phi_CC: Mapping[tuple[int, int], np.ndarray]
-
-    def __post_init__(self):
-        object.__setattr__(self, "phi_B", _freeze(self.phi_B, "phi_B"))
-        object.__setattr__(
-            self, "phi_BC", tuple(_freeze(m_, f"phi_BC[{j}]") for j, m_ in enumerate(self.phi_BC))
-        )
-        frozen = {
-            pair: _freeze(mat, f"phi_CC[{pair}]") for pair, mat in sorted(self.phi_CC.items())
-        }
-        object.__setattr__(self, "phi_CC", MappingProxyType(frozen))
-        pairs = interaction_pairs(len(self.phi_BC))
-        if set(self.phi_CC.keys()) != set(pairs):
-            raise DimensionMismatchError(
-                f"phi_CC must be keyed by the {len(pairs)} ordered pairs for p = {len(self.phi_BC)}"
-            )
-        m = self.phi_B.shape[0]
-        for name, mat in self._all_surfaces():
-            if mat.shape != (m, m):
-                raise DimensionMismatchError(f"{name} must be ({m}, {m}), got {mat.shape}")
-            if _max_asymmetry(mat) > SYMMETRY_TOL * (1.0 + float(np.max(np.abs(mat)))):
-                raise DataError(f"{name} is not symmetric to tolerance")
-
-    def _all_surfaces(self):
-        yield "phi_B", self.phi_B
-        for j, mat in enumerate(self.phi_BC):
-            yield f"phi_BC[{j}]", mat
-        for pair, mat in self.phi_CC.items():
-            yield f"phi_CC[{pair}]", mat
-
-    @property
-    def p(self) -> int:
-        return len(self.phi_BC)
-
-    @property
-    def m(self) -> int:
-        return self.phi_B.shape[0]
-
-    def phi_C(self, j: int) -> np.ndarray:
-        """Interaction surface for the diagonal pair (j, j)."""
-        return self.phi_CC[(j, j)]
 
 
 @dataclass(frozen=True)

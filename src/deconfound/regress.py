@@ -10,7 +10,6 @@ import numpy as np
 
 from .errors import DimensionMismatchError, NonFiniteError, NumericalError, RankDeficientError
 from .model import (
-    CovarianceFit,
     Dataset,
     DebiasedEstimate,
     FirstStageFit,
@@ -93,54 +92,32 @@ def fit_first_stage(dataset: Dataset) -> FirstStageFit:
     return FirstStageFit(L1=coef[: dataset.p], L2=coef[dataset.p :], residuals=residuals)
 
 
-def _covariance_weights(X: np.ndarray) -> np.ndarray:
-    """Pseudo-inverse rows of the design [1, X_j, X_j X_k], pairs in interaction_pairs order."""
-    n = np.shape(X)[0]
+def diagonal_weights(X: np.ndarray) -> np.ndarray:
+    """Pseudo-inverse rows of the design [1, X_j, X_j X_k] that give phi_B and each phi_C(j), in that order.
+
+    Step 3 regresses each entry of eps_i eps_i^T on that design, pairs in
+    interaction_pairs order; the estimators read only the intercept and
+    the p diagonal-pair (j, j) coefficients, so only those rows are kept.
+    """
+    n, p = np.shape(X)
     design = np.column_stack([np.ones(n), expand_interactions(X)])
     if n <= design.shape[1]:
         raise NumericalError(
             f"covariance regression needs n > 1 + p + p(p+1)/2: n = {n}, "
             f"columns = {design.shape[1]}"
         )
-    return _pseudo_inverse(design, "covariance design")
-
-
-def fit_covariance_regression(fit: FirstStageFit, X: np.ndarray) -> CovarianceFit:
-    """Regress the residual outer products on [1, X_j, X_j X_k].
-
-    Entry (r, s) of eps_i eps_i^T is regressed on the (1 + p + p(p+1)/2)
-    column design; the coefficient of each design column, assembled over
-    all (r, s), is one m x m surface. The solve is carried out by
-    contracting the pseudo-inverse rows of the design against the outer
-    products, which is the multi-target least-squares solution without
-    materializing the n x m(m+1)/2 target matrix. Every surface is a
-    weighted sum of the symmetric eps_i eps_i^T and is symmetrized as
-    (M + M^T) / 2.
-    """
-    n = fit.residuals.shape[0]
-    if np.shape(X) != (n, fit.p):
-        raise DimensionMismatchError(
-            f"X must be ({n}, {fit.p}) to match the first-stage fit, got {np.shape(X)}"
-        )
-    surfaces = [_contract_outer_products(fit.residuals, w) for w in _covariance_weights(X)]
-    p = fit.p
-    phi_cc = dict(zip(interaction_pairs(p), surfaces[1 + p :]))
-    return CovarianceFit(phi_B=surfaces[0], phi_BC=tuple(surfaces[1 : 1 + p]), phi_CC=phi_cc)
-
-
-def diagonal_weights(X: np.ndarray) -> np.ndarray:
-    """The covariance-weight rows of phi_B and each phi_C(j), in that order."""
-    p = np.shape(X)[1]
     rows = [0] + [1 + p + interaction_pairs(p).index((j, j)) for j in range(p)]
-    return _covariance_weights(X)[rows]
+    return _pseudo_inverse(design, "covariance design")[rows]
 
 
 def fit_diagonal_surfaces(eps: np.ndarray, weights: np.ndarray, which: list[int]) -> list[np.ndarray]:
     """Surfaces which (0 is phi_B, j + 1 is phi_C(j)) of the rows of eps, from diagonal_weights' rows.
 
-    With eps the n x m residuals, each is built as fit_covariance_regression
-    builds it. With eps = R^T from the reduced QR eps^T = Q R, each is the
-    min(n, m) x min(n, m) core of that surface, which is Q core Q^T.
+    With eps the n x m residuals, surface i is the m x m matrix of the
+    coefficients of weight row i in the entry-by-entry regression of the
+    outer products eps_i eps_i^T, without materializing the n x m(m+1)/2
+    target matrix. With eps = R^T from the reduced QR eps^T = Q R, each is
+    the min(n, m) x min(n, m) core of that surface, which is Q core Q^T.
     """
     return [_contract_outer_products(eps, weights[i]) for i in which]
 

@@ -3,6 +3,7 @@
 import numpy as np
 
 from deconfound.model import ProjectionBasis
+from deconfound.regress import diagonal_weights, fit_diagonal_surfaces
 
 
 def normal_equations(design: np.ndarray, targets: np.ndarray) -> np.ndarray:
@@ -22,3 +23,8 @@ def assert_projector_properties(basis: ProjectionBasis, tol: float = 1e-8) -> No
 def random_orthonormal(rng: np.random.Generator, m: int, r: int) -> np.ndarray:
     q, _ = np.linalg.qr(rng.standard_normal((m, max(r, 1))))
     return q[:, :r]
+
+
+def read_surfaces(eps: np.ndarray, X: np.ndarray) -> list[np.ndarray]:
+    """Step 3's m x m surfaces [phi_B, phi_C(0), ..., phi_C(p-1)] of the residuals eps, as the estimators build them."""
+    return fit_diagonal_surfaces(eps, diagonal_weights(X), list(range(np.shape(X)[1] + 1)))

@@ -8,7 +8,7 @@ tests for the fast per-operation checks.
 import itertools
 
 import numpy as np
-from conftest import assert_projector_properties, normal_equations, random_orthonormal
+from conftest import assert_projector_properties, normal_equations, random_orthonormal, read_surfaces
 
 from deconfound.bench import ExperimentGrid, replicate_seed, run_grid, run_k_selection
 from deconfound.cli import main
@@ -24,7 +24,6 @@ from deconfound.model import (
 )
 from deconfound.regress import (
     expand_interactions,
-    fit_covariance_regression,
     fit_first_stage,
     fit_projected_ols,
 )
@@ -77,19 +76,17 @@ def test_criterion_02_brute_force_equivalence():
         direct = normal_equations(design, ds.Y)
         worst = max(worst, float(np.max(np.abs(np.vstack([first.L1, first.L2]) - direct))))
 
-        # stage 3: covariance regression
-        cov = fit_covariance_regression(first, ds.X)
-        cov_design = np.column_stack([np.ones(n), design])
+        # stage 3: covariance regression, the intercept and (j, j) coefficients the estimators read
         eps = first.residuals
+        surfaces = read_surfaces(eps, ds.X)
+        cov_design = np.column_stack([np.ones(n), design])
         pairs = [(j, kk) for j in range(p) for kk in range(j, p)]
+        columns = [0] + [1 + p + pairs.index((j, j)) for j in range(p)]
         for r in range(m):
             for s in range(m):
                 beta = normal_equations(cov_design, (eps[:, r] * eps[:, s])[:, None])[:, 0]
-                worst = max(worst, abs(beta[0] - cov.phi_B[r, s]))
-                for j in range(p):
-                    worst = max(worst, abs(beta[1 + j] - cov.phi_BC[j][r, s]))
-                for idx, pair in enumerate(pairs):
-                    worst = max(worst, abs(beta[1 + p + idx] - cov.phi_CC[pair][r, s]))
+                for column, surface in zip(columns, surfaces):
+                    worst = max(worst, abs(beta[column] - surface[r, s]))
 
         # stage 5: projected least squares
         basis = oracle_basis(truth)
@@ -109,11 +106,11 @@ def test_criterion_03_projector_properties():
     cfg = SimulationConfig(n=120, m=12, p=2, k=2, seed=17)
     ds, truth = generate(cfg)
     bases.append(oracle_basis(truth))
-    cov = fit_covariance_regression(fit_first_stage(ds), ds.X)
-    blocks = [top_k_eigenvectors(cov.phi_B, 2)[0]]
-    blocks += [top_k_eigenvectors(cov.phi_C(j), 2)[0] for j in range(2)]
+    phi_b, *phi_c = read_surfaces(fit_first_stage(ds).residuals, ds.X)
+    blocks = [top_k_eigenvectors(phi_b, 2)[0]]
+    blocks += [top_k_eigenvectors(phi_c[j], 2)[0] for j in range(2)]
     bases.append(build_projection(blocks))
-    bases.append(ProjectionBasis(U=hetero_pca(cov.phi_B, 2, 5)))
+    bases.append(ProjectionBasis(U=hetero_pca(phi_b, 2, 5)))
     for basis in bases:
         assert_projector_properties(basis, tol=1e-8)
     _report(3, f"{len(bases)} bases from all construction routes satisfy P^2=P, P^T=P, tr(P)=r")

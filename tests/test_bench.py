@@ -221,6 +221,9 @@ class TestRunGrid:
         for k_star in (0, -1):
             with pytest.raises(DataError, match="k_star"):
                 _tiny_grid(k_policy="selected", k_star=k_star)
+        for n_star in (0, -1, None):
+            with pytest.raises(DataError, match=f"^n_star must be a positive integer, got {n_star}$"):
+                _tiny_grid(n_star=n_star)
 
 
 class TestBundleScoring:
@@ -257,18 +260,22 @@ class TestBundleScoring:
 
     @pytest.mark.parametrize("bad", ["tau2 missing", "wrong m", "n_star 0"])
     def test_bad_split_fails_as_generate_test_split_does(self, monkeypatch, bad):
-        grid = _tiny_grid(sweep_values=(0.5,), replicates=1, methods=("ols",), n_star=0 if bad == "n_star 0" else 100)
+        grid = _tiny_grid(sweep_values=(0.5,), replicates=1, methods=("ols",), n_star=100)
         config = grid.config_for(0.5, 0)
         dataset, truth = generate(config)
         if bad == "tau2 missing":
             truth = replace(truth, noise=NoiseSpec.heteroscedastic(6.0), tau2=None)
         elif bad == "wrong m":
             truth = generate(replace(config, m=12))[1]
+        n_star = 0 if bad == "n_star 0" else grid.n_star
         with pytest.raises(DataError) as want:
-            generate_test_split(config, truth, grid.n_star)
+            generate_test_split(config, truth, n_star)
         monkeypatch.setattr(bench, "generate", lambda _config: (dataset, truth))
         with pytest.raises(DataError) as got:
-            bench._run_bundle((grid, 0.5, 0))
+            if bad == "n_star 0":  # no grid holds n_star 0, so score the split directly
+                split_statistics(config, truth, n_star)
+            else:
+                bench._run_bundle((grid, 0.5, 0))
         assert type(got.value) is type(want.value) and str(got.value) == str(want.value)
 
 

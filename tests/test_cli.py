@@ -204,7 +204,7 @@ class TestBenchmarkCommand:
 
 
 class TestBadSweepValues:
-    """A bad sweep value or replicate count exits 2 before any dataset is generated."""
+    """A bad sweep value or replicate count, or a repeated method tag, exits 2 before any dataset is generated."""
 
     @pytest.mark.parametrize(
         "args",
@@ -228,12 +228,17 @@ class TestBadSweepValues:
         [
             (["benchmark", "--setting", "1", "--sweep", "eta_dep=0.5,0.9,0.5", "--replicates", "2"], "eta_dep sweep list repeats the value 0.5"),
             (["select-k", "--sigma-w", "1,1", "--replicates", "1"], "sigma_w sweep list repeats the value 1.0"),
+            (["benchmark", "--setting", "1", "--sweep", "eta_dep=0.5", "--replicates", "2", "--methods", "ols,interaction_homo,ols"], "methods list repeats the tag 'ols'"),
+            (["cv", "--x", "X.csv", "--y", "Y.csv", "--k", "2", "--methods", "ols,interaction_homo,ols"], "methods list repeats the tag 'ols'"),
         ],
     )
     def test_repeated_value_exits_2_before_any_bundle(self, tmp_path, monkeypatch, capsys, args, value):
+        _write_dataset(tmp_path)
+        monkeypatch.chdir(tmp_path)
         calls = []
         monkeypatch.setattr(bench, "_run_bundle", lambda job: calls.append(job))
         monkeypatch.setattr(bench, "_run_k_selection_cell", lambda job: calls.append(job))
+        monkeypatch.setattr(bench, "_run_dataset", lambda *args, **kwargs: calls.append(args))
         out = tmp_path / "out"
         assert main(args + ["--out", str(out)]) == 2
         assert calls == [] and not out.exists()

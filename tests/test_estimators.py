@@ -3,11 +3,12 @@ import weakref
 
 import numpy as np
 import pytest
-from conftest import normal_equations
+from conftest import normal_equations, read_surfaces
 
 from deconfound.errors import (
     DataError,
     DimensionMismatchError,
+    NonFiniteError,
     NumericalError,
     RankDeficientError,
 )
@@ -25,14 +26,13 @@ from deconfound import bench, estimators, regress, spectral
 from deconfound.bench import ExperimentGrid, run_grid, select_k_hat, sse_log
 from deconfound.model import (
     METHODS,
-    CovarianceFit,
     Dataset,
     GroundTruth,
     NoiseSpec,
     ProjectionBasis,
     SimulationConfig,
 )
-from deconfound.regress import fit_covariance_regression, fit_first_stage, fit_projected_ols
+from deconfound.regress import fit_first_stage, fit_projected_ols
 from deconfound.simulate import ar_covariance, generate
 from deconfound.spectral import (
     build_projection,
@@ -136,10 +136,9 @@ class TestInteractionPipelines:
             cfg = SimulationConfig(n=150, m=10, p=p, k=2, seed=10)
             ds, _ = generate(cfg)
             est = fit_homoscedastic(ds, 2)
-            first = fit_first_stage(ds)
-            cov = fit_covariance_regression(first, ds.X)
-            blocks = [top_k_eigenvectors(cov.phi_B, 2)[0]]
-            blocks += [top_k_eigenvectors(cov.phi_C(j), 2)[0] for j in range(p)]
+            phi_b, *phi_c = read_surfaces(fit_first_stage(ds).residuals, ds.X)
+            blocks = [top_k_eigenvectors(phi_b, 2)[0]]
+            blocks += [top_k_eigenvectors(phi_c[j], 2)[0] for j in range(p)]
             basis = build_projection(blocks)
             manual = fit_projected_ols(ds, basis)
             assert np.max(np.abs(est.theta - manual.theta)) < 1e-12
@@ -150,16 +149,15 @@ class TestInteractionPipelines:
             cfg = SimulationConfig(n=150, m=10, p=p, k=2, seed=11)
             ds, _ = generate(cfg)
             est = fit_heteroscedastic(ds, 2, 7)
-            first = fit_first_stage(ds)
-            cov = fit_covariance_regression(first, ds.X)
-            blocks = [hetero_pca(cov.phi_B, 2, 7)]
-            blocks += [top_k_eigenvectors(cov.phi_C(j), 2)[0] for j in range(p)]
+            phi_b, *phi_c = read_surfaces(fit_first_stage(ds).residuals, ds.X)
+            blocks = [hetero_pca(phi_b, 2, 7)]
+            blocks += [top_k_eigenvectors(phi_c[j], 2)[0] for j in range(p)]
             manual = fit_projected_ols(ds, build_projection(blocks))
             assert np.max(np.abs(est.theta - manual.theta)) < 1e-12
             assert est.method == "interaction_hetero" and est.t_used == 7
 
     def test_builds_only_the_read_surfaces(self, monkeypatch):
-        # the estimator path builds phi_B and the p phi_C(j), never a CovarianceFit
+        # the estimator path builds phi_B and the p phi_C(j), none of the other step-3 surfaces
         built = []
         contract = regress._contract_outer_products
 
@@ -167,11 +165,7 @@ class TestInteractionPipelines:
             built.append(args)
             return contract(*args)
 
-        def no_covariance_fit(self):
-            raise AssertionError("CovarianceFit constructed on the estimator path")
-
         monkeypatch.setattr(regress, "_contract_outer_products", counting_contract)
-        monkeypatch.setattr(CovarianceFit, "__post_init__", no_covariance_fit)
         ds, _ = generate(SimulationConfig(n=150, m=10, p=3, k=2, seed=12))
         for method in ("interaction_homo", "interaction_hetero"):
             built.clear()
@@ -258,9 +252,9 @@ class TestInteractionPipelines:
         # moves eigenvalues but not the leading eigenspace
         cfg = SimulationConfig(n=2000, m=25, p=2, k=3, eta_dep=0.5, seed=5)
         ds, _ = generate(cfg)
-        cov = fit_covariance_regression(fit_first_stage(ds), ds.X)
-        u_pca, _ = top_k_eigenvectors(cov.phi_B, 3)
-        u_hp = hetero_pca(cov.phi_B, 3, 50)
+        phi_b = read_surfaces(fit_first_stage(ds).residuals, ds.X)[0]
+        u_pca, _ = top_k_eigenvectors(phi_b, 3)
+        u_hp = hetero_pca(phi_b, 3, 50)
         assert sin_theta(u_pca, u_hp) < 0.05
 
     def test_small_instance_normal_equations_equivalence(self):
@@ -269,15 +263,15 @@ class TestInteractionPipelines:
         # against the explicit normal-equations oracle
         cfg = SimulationConfig(n=40, m=9, p=2, k=1, seed=13)
         ds, truth = generate(cfg)
-        cov = fit_covariance_regression(fit_first_stage(ds), ds.X)
+        phi_b, *phi_c = read_surfaces(fit_first_stage(ds).residuals, ds.X)
         theta_lin = normal_equations(ds.X, ds.Y)
         phi_mean = ((ds.Y - ds.X @ theta_lin).T @ (ds.Y - ds.X @ theta_lin)) / ds.n
-        c_blocks = [top_k_eigenvectors(cov.phi_C(j), 1)[0] for j in range(2)]
+        c_blocks = [top_k_eigenvectors(phi_c[j], 1)[0] for j in range(2)]
         bases = {
             "ols": ProjectionBasis.empty(ds.m),
             "oracle": None,
-            "interaction_homo": build_projection([top_k_eigenvectors(cov.phi_B, 1)[0]] + c_blocks),
-            "interaction_hetero": build_projection([hetero_pca(cov.phi_B, 1, 3)] + c_blocks),
+            "interaction_homo": build_projection([top_k_eigenvectors(phi_b, 1)[0]] + c_blocks),
+            "interaction_hetero": build_projection([hetero_pca(phi_b, 1, 3)] + c_blocks),
             "non_interaction_homo": ProjectionBasis(U=top_k_eigenvectors(phi_mean, 1)[0]),
             "non_interaction_hetero": ProjectionBasis(U=hetero_pca(phi_mean, 1, 3)),
         }
@@ -307,9 +301,9 @@ class TestNoConfoundingReduction:
         ols = fit_ols_baseline(ds)
         assert np.linalg.norm(ols.theta - a) / np.linalg.norm(a) < 0.05
         est = fit_homoscedastic(ds, k)
-        cov = fit_covariance_regression(fit_first_stage(ds), ds.X)
-        blocks = [top_k_eigenvectors(cov.phi_B, k)[0]]
-        blocks += [top_k_eigenvectors(cov.phi_C(j), k)[0] for j in range(p)]
+        phi_b, *phi_c = read_surfaces(fit_first_stage(ds).residuals, ds.X)
+        blocks = [top_k_eigenvectors(phi_b, k)[0]]
+        blocks += [top_k_eigenvectors(phi_c[j], k)[0] for j in range(p)]
         basis = build_projection(blocks)
         projected_ols = ols.theta @ (np.eye(m) - basis.projector())
         assert np.max(np.abs(est.theta - projected_ols)) < 1e-8
@@ -372,6 +366,19 @@ class TestNonInteraction:
         assert np.mean(sse_int) < np.mean(sse_ols)
 
 
+class TestStepThreeFiniteness:
+    @pytest.mark.parametrize("n, m", [(60, 8), (20, 40)])
+    def test_overflowing_surface_fails_under_its_name(self, n, m):
+        # outer products of 1e160-scale residuals overflow; at n < m they overflow in the n x n cores
+        ds, _ = generate(SimulationConfig(n=n, m=m, p=2, k=1, seed=3))
+        big = Dataset(X=ds.X, Y=ds.Y * 1e160)
+        for method in ("interaction_homo", "interaction_hetero", "non_interaction_homo", "non_interaction_hetero"):
+            name = "phi_B_mean" if method.startswith("non_") else "phi_B"
+            with np.errstate(over="ignore", invalid="ignore"), pytest.raises(NonFiniteError) as info:
+                fit_method(big, method, k=1)
+            assert str(info.value) == f"step 3 (covariance regression): {name} has a non-finite entry at row 0, column 0"
+
+
 class TestSpectraHelpers:
     def test_interaction_spectra_shapes(self):
         for p in (2, 3):
@@ -381,8 +388,7 @@ class TestSpectraHelpers:
             assert len(spectra) == p + 1
             assert all(s.eigenvalues.size == 10 for s in spectra)
             assert spectra[0].source == "phi_B"
-            cov = fit_covariance_regression(fit_first_stage(ds), ds.X)
-            surfaces = [cov.phi_B] + [cov.phi_C(j) for j in range(p)]
+            surfaces = read_surfaces(fit_first_stage(ds).residuals, ds.X)
             for spectrum, surface in zip(spectra, surfaces):
                 assert np.array_equal(spectrum.eigenvalues, eigen_spectrum(surface, "ref").eigenvalues)
 
@@ -399,8 +405,7 @@ class TestRowSpaceCore:
 
     @staticmethod
     def _surfaces(ds):
-        cov = fit_covariance_regression(fit_first_stage(ds), ds.X)
-        return [cov.phi_B] + [cov.phi_C(j) for j in range(ds.p)]
+        return read_surfaces(fit_first_stage(ds).residuals, ds.X)
 
     @staticmethod
     def _mean(ds):

@@ -5,7 +5,6 @@ import pytest
 
 from deconfound.errors import DataError, DimensionMismatchError, NonFiniteError
 from deconfound.model import (
-    CovarianceFit,
     Dataset,
     DebiasedEstimate,
     FirstStageFit,
@@ -179,8 +178,6 @@ class TestSimulationConfig:
             SimulationConfig(n=100, m=25, p=2, k=3, **{name: value})
 
 
-_SURFACES = dict(phi_B=np.eye(4), phi_BC=(np.eye(4), np.eye(4)), phi_CC={(0, 0): np.eye(4), (0, 1): np.eye(4), (1, 1): np.eye(4)})
-
 #: One valid keyword set per frozen type, and every stored array as (field, index, name).
 _FROZEN = [
     (Dataset, dict(X=np.zeros((3, 2)), Y=np.ones((3, 4))), [("X", None, "X"), ("Y", None, "Y")]),
@@ -200,12 +197,6 @@ _FROZEN = [
     ),
     (ProjectionBasis, dict(U=np.eye(4)[:, :2]), [("U", None, "U")]),
     (DebiasedEstimate, dict(theta=np.zeros((2, 4)), method="ols"), [("theta", None, "theta")]),
-    (
-        CovarianceFit,
-        _SURFACES,
-        [("phi_B", None, "phi_B"), ("phi_BC", 0, "phi_BC[0]"), ("phi_BC", 1, "phi_BC[1]")]
-        + [("phi_CC", pair, f"phi_CC[{pair}]") for pair in _SURFACES["phi_CC"]],
-    ),
 ]
 
 
@@ -220,8 +211,6 @@ def _with_nan(kwargs: dict, field: str, index) -> dict:
     value = kwargs[field]
     if index is None:
         value = poisoned(value)
-    elif isinstance(value, dict):
-        value = {**value, index: poisoned(value[index])}
     else:
         value = tuple(poisoned(a) if i == index else a for i, a in enumerate(value))
     return {**kwargs, field: value}
@@ -237,9 +226,3 @@ class TestFrozenArraysAreFinite:
         cls(**kwargs)
         with pytest.raises(NonFiniteError, match=f"^{re.escape(name)} has a non-finite entry"):
             cls(**_with_nan(kwargs, field, index))
-
-    def test_asymmetric_phi_bc_rejected(self):
-        skew = np.eye(4)
-        skew[0, 1] = 1.0
-        with pytest.raises(DataError, match=re.escape("phi_BC[0] is not symmetric")):
-            CovarianceFit(**{**_SURFACES, "phi_BC": (skew, np.eye(4))})

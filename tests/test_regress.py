@@ -1,12 +1,12 @@
 import numpy as np
 import pytest
-from conftest import assert_projector_properties, normal_equations, random_orthonormal
+from conftest import assert_projector_properties, normal_equations, random_orthonormal, read_surfaces
 
 from deconfound.errors import NumericalError, RankDeficientError
-from deconfound.model import Dataset, FirstStageFit, ProjectionBasis
+from deconfound.model import Dataset, ProjectionBasis
 from deconfound.regress import (
+    diagonal_weights,
     expand_interactions,
-    fit_covariance_regression,
     fit_first_stage,
     fit_projected_ols,
     interaction_pairs,
@@ -125,11 +125,9 @@ class TestCovarianceRegression:
     def test_zero_residuals_give_zero_surfaces(self):
         rng = np.random.default_rng(13)
         n, p, m = 30, 2, 4
-        fit = FirstStageFit(L1=np.zeros((p, m)), L2=np.zeros((3, m)), residuals=np.zeros((n, m)))
-        cov = fit_covariance_regression(fit, rng.standard_normal((n, p)))
-        assert np.max(np.abs(cov.phi_B)) < 1e-12
-        assert all(np.max(np.abs(mat)) < 1e-12 for mat in cov.phi_BC)
-        assert all(np.max(np.abs(mat)) < 1e-12 for mat in cov.phi_CC.values())
+        surfaces = read_surfaces(np.zeros((n, m)), rng.standard_normal((n, p)))
+        assert len(surfaces) == p + 1
+        assert all(np.max(np.abs(mat)) < 1e-12 for mat in surfaces)
 
     def test_exact_polynomial_recovery(self):
         # eps_i = a + b * x_i gives eps eps^T = aa^T + (ab^T + ba^T) x + bb^T x^2
@@ -139,55 +137,45 @@ class TestCovarianceRegression:
         b = rng.standard_normal(m)
         x = rng.standard_normal(n)
         eps = a[None, :] + x[:, None] * b[None, :]
-        fit = FirstStageFit(L1=np.zeros((1, m)), L2=np.zeros((1, m)), residuals=eps)
-        cov = fit_covariance_regression(fit, x[:, None])
-        assert np.max(np.abs(cov.phi_B - np.outer(a, a))) < 1e-8
-        assert np.max(np.abs(cov.phi_BC[0] - (np.outer(a, b) + np.outer(b, a)))) < 1e-8
-        assert np.max(np.abs(cov.phi_CC[(0, 0)] - np.outer(b, b))) < 1e-8
+        phi_b, phi_c0 = read_surfaces(eps, x[:, None])
+        assert np.max(np.abs(phi_b - np.outer(a, a))) < 1e-8
+        assert np.max(np.abs(phi_c0 - np.outer(b, b))) < 1e-8
 
     def test_matches_entrywise_normal_equations(self):
         cfg = SimulationConfig(n=60, m=4, p=2, k=1, seed=15)
         ds, _ = generate(cfg)
-        first = fit_first_stage(ds)
-        cov = fit_covariance_regression(first, ds.X)
+        eps = fit_first_stage(ds).residuals
+        phi_b, phi_c0, phi_c1 = read_surfaces(eps, ds.X)
         design = np.column_stack([np.ones(ds.n), expand_interactions(ds.X)])
-        eps = first.residuals
         for r in range(ds.m):
             for s in range(ds.m):
                 beta = normal_equations(design, (eps[:, r] * eps[:, s])[:, None])[:, 0]
-                assert abs(beta[0] - cov.phi_B[r, s]) < 1e-8
-                assert abs(beta[1] - cov.phi_BC[0][r, s]) < 1e-8
-                assert abs(beta[2] - cov.phi_BC[1][r, s]) < 1e-8
-                assert abs(beta[3] - cov.phi_CC[(0, 0)][r, s]) < 1e-8
-                assert abs(beta[4] - cov.phi_CC[(0, 1)][r, s]) < 1e-8
-                assert abs(beta[5] - cov.phi_CC[(1, 1)][r, s]) < 1e-8
+                # columns: 1, X_0, X_1, X_0 X_0, X_0 X_1, X_1 X_1
+                assert abs(beta[0] - phi_b[r, s]) < 1e-8
+                assert abs(beta[3] - phi_c0[r, s]) < 1e-8
+                assert abs(beta[5] - phi_c1[r, s]) < 1e-8
 
     def test_population_target_homoscedastic(self):
         # phi_B should approach B^T Sigma_W B + sigma^2 I at large n
         cfg = SimulationConfig(n=20000, m=10, p=1, k=2, eta_dep=0.5, seed=2)
         ds, truth = generate(cfg)
-        cov = fit_covariance_regression(fit_first_stage(ds), ds.X)
+        phi_b = read_surfaces(fit_first_stage(ds).residuals, ds.X)[0]
         target = truth.sigma_w**2 * truth.B.T @ truth.B + np.eye(truth.m)
-        rel = np.linalg.norm(cov.phi_B - target) / np.linalg.norm(target)
+        rel = np.linalg.norm(phi_b - target) / np.linalg.norm(target)
         assert rel < 0.1
 
     def test_permutation_invariance(self):
         cfg = SimulationConfig(n=80, m=4, p=2, k=1, seed=16)
         ds, _ = generate(cfg)
-        first = fit_first_stage(ds)
-        cov = fit_covariance_regression(first, ds.X)
+        eps = fit_first_stage(ds).residuals
         rng = np.random.default_rng(17)
         perm = rng.permutation(ds.n)
-        fit_perm = FirstStageFit(L1=first.L1, L2=first.L2, residuals=first.residuals[perm])
-        cov_perm = fit_covariance_regression(fit_perm, ds.X[perm])
-        assert np.max(np.abs(cov.phi_B - cov_perm.phi_B)) < 1e-8
-        for pair in cov.phi_CC:
-            assert np.max(np.abs(cov.phi_CC[pair] - cov_perm.phi_CC[pair])) < 1e-8
+        for mat, mat_perm in zip(read_surfaces(eps, ds.X), read_surfaces(eps[perm], ds.X[perm])):
+            assert np.max(np.abs(mat - mat_perm)) < 1e-8
 
     def test_sample_size_precondition(self):
-        fit = FirstStageFit(L1=np.zeros((2, 3)), L2=np.zeros((3, 3)), residuals=np.zeros((6, 3)))
-        with pytest.raises(NumericalError):
-            fit_covariance_regression(fit, np.random.default_rng(0).standard_normal((6, 2)))
+        with pytest.raises(NumericalError, match="^covariance regression needs n > "):
+            diagonal_weights(np.random.default_rng(0).standard_normal((6, 2)))
 
 
 class TestProjectedOLS:

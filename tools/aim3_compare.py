@@ -35,7 +35,11 @@ The script prints the largest sin-theta between the projection bases the
 two trees fit with and the largest relative Frobenius error of theta,
 over every fit of both kinds of call, the largest absolute change of
 pmse_log over the run_grid and cross_validate records (printed, not
-gated), and whether any K selection, fit outcome, recorded K or recorded
+gated), whether each dataset's p+1 step-3 surfaces (phi_B and each
+phi_C(j), built by regress.fit_first_stage, diagonal_weights and
+fit_diagonal_surfaces) match bitwise between the trees (compared by
+digest, printed, not gated: a change may rework that arithmetic on
+purpose), and whether any K selection, fit outcome, recorded K or recorded
 error changed. It exits 1 when a result
 breaks ROADMAP aim 3 (sin-theta above 1e-10, theta error above 1e-8, a
 changed selection or outcome), or when the two trees draw different
@@ -63,6 +67,7 @@ NOISES = {"homo": ("homoscedastic", 0.0), "alpha6": ("heteroscedastic", 6.0)}
 METHODS = ("ols", "oracle", "interaction_homo", "interaction_hetero", "non_interaction_homo", "non_interaction_hetero")
 SELECTORS = ("interaction", "non_interaction")
 RUNS = ("bundle known", "bundle selected", "cv 3-fold")
+SURFACES = "step-3 surfaces"
 #: The extra S2 fits whose blocks reach a surface's null space, by label: (method, known K).
 #: interaction_homo: (p+1)K = 120 <= m = 500; non_interaction_homo: K = n - p + 1.
 NULL_SPACE_FITS = {
@@ -129,6 +134,9 @@ def run_tree(src: str, out_path: str) -> None:
                 results[(case, "data")] = (dataset.X, dataset.Y)
                 test = generate_test_split(config, truth, N_STAR)
                 results[(case, "test split")] = hashlib.sha256(test.X.tobytes() + test.Y.tobytes()).hexdigest()
+                eps = regress.fit_first_stage(dataset).residuals
+                surfaces = regress.fit_diagonal_surfaces(eps, regress.diagonal_weights(dataset.X), list(range(dataset.p + 1)))
+                results[(case, SURFACES)] = hashlib.sha256(b"".join(s.tobytes() for s in surfaces)).hexdigest()
                 for method in METHODS:
                     captured.clear()
                     try:
@@ -203,6 +211,7 @@ def _outcome(result) -> str:
 def compare(parent: dict, change: dict) -> int:
     worst_basis, worst_theta, worst_pmse = (0.0, "-"), (0.0, "-"), (0.0, "-")
     changed_k, changed_fits, n_selections, n_fits, n_runs, n_long, n_splits, n_pmse = [], [], 0, 0, 0, 0, 0, 0
+    changed_surfaces, n_surfaces = [], 0
 
     def compare_basis(u_old, u_new, where: str) -> bool:
         nonlocal worst_basis
@@ -235,6 +244,10 @@ def compare(parent: dict, change: dict) -> int:
             if old != new:
                 print(f"{case}: the two trees draw different test splits; results are not comparable\nFAIL")
                 return 1
+        elif what == SURFACES:
+            n_surfaces += 1
+            if old != new:
+                changed_surfaces.append(case)
         elif what in SELECTORS:
             n_selections += 1
             if old != new:
@@ -280,6 +293,9 @@ def compare(parent: dict, change: dict) -> int:
     print(f"max basis sin-theta: {worst_basis[0]:.2e} (bound {BASIS_BOUND:.0e}) at {worst_basis[1]}")
     print(f"max theta relative error: {worst_theta[0]:.2e} (bound {THETA_BOUND:.0e}) at {worst_theta[1]}")
     print(f"test splits compared bitwise: {n_splits}, all identical ({N_STAR} rows per dataset)")
+    print(f"step-3 surfaces matching: {n_surfaces - len(changed_surfaces)} of {n_surfaces} (by digest, not gated)")
+    for case in changed_surfaces:
+        print(f"  {case}: step-3 surfaces differ")
     print(f"max pmse_log change: {worst_pmse[0]:.2e} over {n_pmse} run records at {worst_pmse[1]}")
     print(f"bench runs compared: {n_runs} ({', '.join(RUNS)} per dataset)")
     print(f"long HeteroPCA chains compared: {n_long} ({', '.join(LONG_CHAINS)} per S2 and stress dataset)")
