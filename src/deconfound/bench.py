@@ -113,6 +113,12 @@ def _check_positive(value: int | None, name: str, *, optional: bool = False) -> 
         raise DataError(f"{name} must be a positive integer, got {value}")
 
 
+def _check_k_star(k_star: int | None, m: int) -> None:
+    """DataError unless k_star is None or below m: the selector reads m eigenvalues per surface."""
+    if k_star is not None and k_star >= m:
+        raise DataError(f"k_star must be below m = {m}, got {k_star}: each surface has m eigenvalues")
+
+
 @dataclass(frozen=True)
 class ExperimentGrid:
     """One benchmark sweep: base config, swept parameter, methods, policy."""
@@ -137,6 +143,8 @@ class ExperimentGrid:
         if self.k_policy not in K_POLICIES:
             raise DataError(f"k policy must be one of {K_POLICIES}")
         _check_positive(self.k_star, "k_star", optional=True)
+        if self.k_policy == "selected":
+            _check_k_star(self.k_star, self.base.m)
         estimators._check_n_iter(self.n_iter)
         _check_positive(self.n_star, "n_star")
 
@@ -246,6 +254,8 @@ def _run_dataset(
     """
     _check_positive(k, "k", optional=True)
     _check_positive(k_star, "k_star", optional=True)
+    if k is None:
+        _check_k_star(k_star, dataset.m)
     estimators._check_n_iter(n_iter)
     if k_star is None:
         k_star = spectral.default_k_star(dataset.n, dataset.m)
@@ -365,6 +375,7 @@ def run_k_selection(
     """
     _check_positive(replicates, "replicates")
     _check_positive(k_star, "k_star")
+    _check_k_star(k_star, base.m)
     jobs = [
         (_cell_config(base, "sigma_w", value, rep), rep, k_star)
         for value in _check_sweep(base, "sigma_w", sigma_w_values)
@@ -414,6 +425,8 @@ def fold_indices(n: int, folds: int, seed: int) -> list[np.ndarray]:
         raise DataError("need at least 2 folds")
     if folds > n:
         raise DataError(f"cannot split n = {n} rows into {folds} folds")
+    if not 0 <= seed < 2**64:
+        raise DataError("seed must fit in an unsigned 64-bit integer")
     rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(entropy=int(seed))))
     perm = rng.permutation(n)
     return [np.sort(block) for block in np.array_split(perm, folds)]

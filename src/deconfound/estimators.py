@@ -25,6 +25,8 @@ def _step(step: int, label: str):
         yield
     except DeconfoundError as err:
         raise type(err)(f"step {step} ({label}): {err}") from err
+    except np.linalg.LinAlgError as err:
+        raise NumericalError(f"step {step} ({label}): {err}") from err
 
 
 def _check_n_iter(n_iter: int) -> None:
@@ -111,8 +113,9 @@ class _Stage:
         """The family's m x m surface i (for interaction, 0 is phi_B and j + 1 is phi_C(j)), built on first read.
 
         At n >= m every reader reads all of them, so the first read builds
-        them together and the n x m residuals are not kept (keeping them
-        slowed S1 interaction fits by about 15 %).
+        them together and the n x m residuals are not kept: keeping them at
+        m=500, n=1000 (2 vCPUs, OpenBLAS) raised a no-interaction fit from
+        about 35 to 39 ms and the peak RSS from 85 to 90 MB.
         """
         if self.factored:
             return self._once(("surface", family, i), lambda: self._rule(family, self._residuals(family), [i])[0])
@@ -167,11 +170,6 @@ def _linear_residuals(dataset: Dataset) -> np.ndarray:
     return dataset.Y - dataset.X @ theta_lin
 
 
-def _hetero_pca(phi_b: np.ndarray, k: int, n_iter: int) -> np.ndarray:
-    with _step(4, "eigenspace extraction"):
-        return spectral.hetero_pca(phi_b, k, n_iter)
-
-
 def fit_homoscedastic(dataset: Dataset, k: int) -> DebiasedEstimate:
     """Interaction-aware debiased estimator for homoscedastic noise.
 
@@ -193,7 +191,7 @@ def fit_heteroscedastic(dataset: Dataset, k: int, n_iter: int = DEFAULT_N_ITER) 
 
 def fit_ols_baseline(dataset: Dataset) -> DebiasedEstimate:
     """Plain least squares of Y on X, ignoring hidden variables: the empty projection."""
-    return regress.fit_projected_ols(dataset, ProjectionBasis.empty(dataset.m))
+    return fit_method(dataset, "ols")
 
 
 def oracle_basis(truth: GroundTruth) -> ProjectionBasis:
@@ -203,9 +201,7 @@ def oracle_basis(truth: GroundTruth) -> ProjectionBasis:
     D^T (D D^T)^{-1} D projector formula, for conditioning; the resulting
     projector annihilates B^T and every C_j^T.
     """
-    stacked = truth.stacked_hidden_effects()
-    u, _, _ = np.linalg.svd(stacked.T, full_matrices=False)
-    return ProjectionBasis(U=spectral.fix_signs(u))
+    return spectral.build_projection([truth.stacked_hidden_effects().T])
 
 
 def fit_oracle(dataset: Dataset, truth: GroundTruth) -> DebiasedEstimate:
@@ -213,12 +209,7 @@ def fit_oracle(dataset: Dataset, truth: GroundTruth) -> DebiasedEstimate:
 
     Not available in practice; serves as the benchmark floor.
     """
-    if truth.p != dataset.p or truth.m != dataset.m:
-        raise DimensionMismatchError(
-            f"truth dimensions (p={truth.p}, m={truth.m}) do not match dataset "
-            f"(p={dataset.p}, m={dataset.m})"
-        )
-    return regress.fit_projected_ols(dataset, oracle_basis(truth), method="oracle", k_used=truth.k)
+    return fit_method(dataset, "oracle", truth=truth)
 
 
 def fit_non_interaction(
@@ -264,37 +255,48 @@ def fit_method(
 
 
 def _fit(stage: _Stage, method: str, k: int | None, n_iter: int | None, truth: GroundTruth | None) -> DebiasedEstimate:
-    """Every estimator, on a stage that other methods and selectors may share."""
+    """Every estimator, on a stage that other methods and selectors may share: resolve a basis, then step 5."""
     dataset = stage.dataset
     if method not in METHODS:
         raise DataError(f"unknown method tag {method!r}")
+    hetero = method.endswith("_hetero")
     if method == "ols":
-        return fit_ols_baseline(dataset)
-    if method == "oracle":
+        basis, k = ProjectionBasis.empty(dataset.m), None
+    elif method == "oracle":
         if truth is None:
             raise DataError("the oracle method requires the ground truth")
-        return fit_oracle(dataset, truth)
-    if k is None:
-        raise DataError(f"method {method!r} requires k")
-    hetero = method.endswith("_hetero")
-    if hetero:
-        _check_n_iter(n_iter)
-    if k < 1:
-        raise NumericalError(f"k must be a positive integer, got {k}")
-    family = _family(method)
-    if family == "interaction" and (dataset.p + 1) * k > dataset.m:
-        raise NumericalError(f"(p+1)*K = {(dataset.p + 1) * k} exceeds m = {dataset.m}; cannot project out that many directions")
-    if family == "non_interaction":
-        if k > dataset.m:
-            raise NumericalError(f"k = {k} exceeds m = {dataset.m}")
-        if dataset.n <= dataset.p:
-            raise NumericalError(f"need n > p: n = {dataset.n}, p = {dataset.p}")
-    u_b = _hetero_pca(stage.surface(family, 0), k, n_iter) if hetero else stage.top_k(family, 0, k)
-    blocks = [u_b] + [stage.top_k(family, i, k) for i in range(1, len(stage.names[family]))]
-    if len(blocks) == 1:
-        basis = ProjectionBasis(U=u_b)
+        if truth.p != dataset.p or truth.m != dataset.m:
+            raise DimensionMismatchError(
+                f"truth dimensions (p={truth.p}, m={truth.m}) do not match dataset "
+                f"(p={dataset.p}, m={dataset.m})"
+            )
+        basis, k = oracle_basis(truth), truth.k
     else:
-        with _step(4, "eigenspace extraction"):
-            basis = spectral.build_projection(blocks)
+        if k is None:
+            raise DataError(f"method {method!r} requires k")
+        if hetero:
+            _check_n_iter(n_iter)
+        if k < 1:
+            raise NumericalError(f"k must be a positive integer, got {k}")
+        family = _family(method)
+        if family == "interaction" and (dataset.p + 1) * k > dataset.m:
+            raise NumericalError(f"(p+1)*K = {(dataset.p + 1) * k} exceeds m = {dataset.m}; cannot project out that many directions")
+        if family == "non_interaction":
+            if k > dataset.m:
+                raise NumericalError(f"k = {k} exceeds m = {dataset.m}")
+            if dataset.n <= dataset.p:
+                raise NumericalError(f"need n > p: n = {dataset.n}, p = {dataset.p}")
+        if hetero:
+            phi_b = stage.surface(family, 0)
+            with _step(4, "eigenspace extraction"):
+                u_b = spectral.hetero_pca(phi_b, k, n_iter)
+        else:
+            u_b = stage.top_k(family, 0, k)
+        blocks = [u_b] + [stage.top_k(family, i, k) for i in range(1, len(stage.names[family]))]
+        if len(blocks) == 1:
+            basis = ProjectionBasis(U=u_b)
+        else:
+            with _step(4, "eigenspace extraction"):
+                basis = spectral.build_projection(blocks)
     with _step(5, "projected least squares"):
         return regress.fit_projected_ols(dataset, basis, method=method, k_used=k, t_used=n_iter if hetero else None)

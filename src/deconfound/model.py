@@ -269,8 +269,6 @@ class ProjectionBasis:
 
     def apply_complement(self, rows: np.ndarray) -> np.ndarray:
         """Right-multiply row vectors by (I - U U^T) without forming P."""
-        if self.r == 0:
-            return np.array(rows, dtype=float)
         return rows - (rows @ self.U) @ self.U.T
 
 

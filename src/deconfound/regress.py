@@ -136,13 +136,12 @@ def fit_projected_ols(
     k_used: int | None = None,
     t_used: int | None = None,
 ) -> DebiasedEstimate:
-    """Regress the projected responses Y (I - U U^T) on X, linear terms only."""
+    """Regress Y (I - U U^T) on X, by linearity the p x m OLS fit (X^T X)^{-1} X^T Y times I - U U^T, computed so."""
     if basis.m != dataset.m:
         raise DimensionMismatchError(
             f"basis has m = {basis.m} rows but dataset has m = {dataset.m} responses"
         )
     if dataset.n <= dataset.p:
         raise NumericalError(f"projected regression needs n > p: n = {dataset.n}, p = {dataset.p}")
-    projected = basis.apply_complement(dataset.Y)
-    theta = least_squares(dataset.X, projected)
+    theta = basis.apply_complement(least_squares(dataset.X, dataset.Y))
     return DebiasedEstimate(theta=theta, method=method, k_used=k_used, t_used=t_used)

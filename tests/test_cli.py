@@ -204,7 +204,7 @@ class TestBenchmarkCommand:
 
 
 class TestBadSweepValues:
-    """A bad sweep value or replicate count, or a repeated method tag, exits 2 before any dataset is generated."""
+    """A bad sweep value, replicate count, k_star or cv seed, or a repeated method tag, exits 2 before any dataset is generated or fold is fitted."""
 
     @pytest.mark.parametrize(
         "args",
@@ -243,6 +243,38 @@ class TestBadSweepValues:
         assert main(args + ["--out", str(out)]) == 2
         assert calls == [] and not out.exists()
         assert capsys.readouterr().err == f"deconfound: data error: {value}\n"
+
+    @pytest.mark.parametrize(
+        "args",
+        [
+            ["benchmark", "--setting", "1", "--sweep", "eta_dep=0.5", "--replicates", "2", "--k", "auto", "--k-star", "30"],
+            ["select-k", "--setting", "1", "--sigma-w", "1", "--replicates", "1", "--k-star", "25"],
+            ["cv", "--x", "X.csv", "--y", "Y.csv", "--k", "auto", "--k-star", "10", "--methods", "ols,interaction_homo"],
+        ],
+    )
+    def test_k_star_not_below_m_exits_2_before_any_fit(self, tmp_path, monkeypatch, capsys, args):
+        # each surface has m eigenvalues, so the ratio test needs k_star + 1 <= m of them
+        _write_dataset(tmp_path)
+        monkeypatch.chdir(tmp_path)
+        calls = []
+        monkeypatch.setattr(bench, "_run_bundle", lambda job: calls.append(job))
+        monkeypatch.setattr(bench, "_run_k_selection_cell", lambda job: calls.append(job))
+        monkeypatch.setattr(bench.estimators, "_Stage", lambda dataset: calls.append(dataset))
+        out = tmp_path / "out"
+        assert main(args + ["--out", str(out)]) == 2
+        assert calls == [] and not out.exists()
+        k_star = args[args.index("--k-star") + 1]
+        m = 10 if args[0] == "cv" else 25
+        assert capsys.readouterr().err == f"deconfound: data error: k_star must be below m = {m}, got {k_star}: each surface has m eigenvalues\n"
+
+    @pytest.mark.parametrize("seed", ["-1", str(2**64)])
+    def test_cv_seed_outside_64_bits_exits_2_before_any_fold(self, tmp_path, monkeypatch, capsys, seed):
+        _write_dataset(tmp_path)
+        calls = []
+        monkeypatch.setattr(bench, "_run_dataset", lambda *args, **kwargs: calls.append(args))
+        code = main(["cv", "--x", str(tmp_path / "X.csv"), "--y", str(tmp_path / "Y.csv"), "--k", "2", "--seed", seed])
+        assert code == 2 and calls == []
+        assert capsys.readouterr().err == "deconfound: data error: seed must fit in an unsigned 64-bit integer\n"
 
     def test_zero_replicates_worded_alike(self, tmp_path, capsys):
         assert main(["benchmark", "--sweep", "eta_dep=0.5", "--replicates", "0", "--out", str(tmp_path)]) == 2

@@ -1,4 +1,6 @@
 import gc
+import itertools
+import re
 import weakref
 
 import numpy as np
@@ -21,6 +23,7 @@ from deconfound.estimators import (
     fit_oracle,
     interaction_spectra,
     non_interaction_spectrum,
+    oracle_basis,
 )
 from deconfound import bench, estimators, regress, spectral
 from deconfound.bench import ExperimentGrid, run_grid, select_k_hat, sse_log
@@ -74,6 +77,29 @@ class TestOracle:
         u, _, _ = np.linalg.svd(stacked.T, full_matrices=False)
         proj = u @ u.T
         assert np.linalg.norm(stacked.T - proj @ stacked.T) < 1e-10
+
+    def test_basis_is_bitwise_the_sign_fixed_svd_basis(self):
+        # oracle_basis goes through build_projection; its U is the SVD + fix_signs basis it replaced
+        truths = [
+            generate(SimulationConfig(n=n, m=m, p=2, k=3, seed=seed))[1]
+            for m, n in ((25, 1000), (500, 100), (10, 50))
+            for seed in range(10)
+        ]
+        rng = np.random.default_rng(101)
+        for p, k, m in itertools.product((1, 2), (1, 3), (10, 50)):
+            truths.append(
+                GroundTruth(
+                    A=rng.standard_normal((p, m)),
+                    B=rng.standard_normal((k, m)),
+                    C=tuple(rng.standard_normal((k, m)) for _ in range(p)),
+                    psi=rng.standard_normal((p, k)),
+                    sigma_w=1.0,
+                    noise=NoiseSpec.homoscedastic(),
+                )
+            )
+        for truth in truths:
+            u, _, _ = np.linalg.svd(truth.stacked_hidden_effects().T, full_matrices=False)
+            assert np.array_equal(oracle_basis(truth).U, spectral.fix_signs(u))
 
     def test_dimension_mismatch(self):
         cfg = SimulationConfig(n=50, m=20, p=2, k=3, seed=4)
@@ -330,17 +356,64 @@ class TestNonInteraction:
 
     @pytest.mark.parametrize("n, m", [(30, 40), (60, 10)])
     def test_rank_deficient_x_fails_at_each_familys_step_1(self, n, m):
-        # two equal columns: both step-1 designs are rank deficient, at n < m and at n >= m
+        # two equal columns: both step-1 designs are rank deficient, at n < m and at n >= m;
+        # ols and oracle read no step 1 and fail in step 5's design
         rng = np.random.default_rng(25)
         x = rng.standard_normal((n, 1))
         ds = Dataset(X=np.hstack([x, x]), Y=rng.standard_normal((n, m)))
-        methods = ["interaction_homo", "interaction_hetero", "non_interaction_homo", "non_interaction_hetero"]
+        _, truth = generate(SimulationConfig(n=n, m=m, p=2, k=2, seed=25))
+        labels = {
+            "ols": "step 5 (projected least squares)",
+            "oracle": "step 5 (projected least squares)",
+            "interaction_homo": "step 1 (interaction regression)",
+            "interaction_hetero": "step 1 (interaction regression)",
+            "non_interaction_homo": "step 1 (linear regression)",
+            "non_interaction_hetero": "step 1 (linear regression)",
+        }
         for k, prefix in ((2, ""), (None, "selection failed: ")):
-            outcomes = bench._run_dataset(ds, methods, k=k, k_star=None, n_iter=5)
-            for method, (err, k_used) in zip(methods, outcomes):
-                label = "interaction regression" if method.startswith("interaction") else "linear regression"
-                assert isinstance(err, RankDeficientError) and k_used == k
-                assert str(err).startswith(f"{prefix}step 1 ({label}): design is rank deficient")
+            outcomes = bench._run_dataset(ds, list(labels), k=k, k_star=None, n_iter=5, truth=truth)
+            for (method, label), (err, k_used) in zip(labels.items(), outcomes):
+                reads_k = method not in ("ols", "oracle")
+                assert isinstance(err, RankDeficientError) and k_used == (k if reads_k else None)
+                assert str(err).startswith(f"{prefix if reads_k else ''}{label}: design is rank deficient")
+
+    @pytest.mark.parametrize("n, m", [(60, 8), (40, 60)])
+    def test_step_5_projects_only_p_by_m_arrays(self, n, m, monkeypatch):
+        # step 5 right-multiplies the p x m OLS fit by I - U U^T; no n x m response copy is projected
+        ds, truth = generate(SimulationConfig(n=n, m=m, p=2, k=2, seed=26))
+        shapes = []
+        apply_complement = ProjectionBasis.apply_complement
+
+        def record(basis, rows):
+            shapes.append(np.shape(rows))
+            return apply_complement(basis, rows)
+
+        monkeypatch.setattr(ProjectionBasis, "apply_complement", record)
+        for method in METHODS:
+            shapes.clear()
+            fit_method(ds, method, k=2, truth=truth)
+            assert shapes == [(ds.p, ds.m)], method
+
+    def test_every_failure_names_its_step(self):
+        # equal columns, an all-zero design, and a design whose products X_j X_k overflow
+        # (numpy's SVD then raises LinAlgError, reported as step 1's NumericalError)
+        ds, truth = generate(SimulationConfig(n=60, m=8, p=2, k=2, seed=27))
+        designs = {
+            "equal columns": ds.X[:, [0, 0]],
+            "zero": np.zeros_like(ds.X),
+            "overflowing products": 1e160 * ds.X,
+        }
+        for name, x in designs.items():
+            for k in (2, None):
+                with np.errstate(over="ignore", invalid="ignore"):
+                    outcomes = bench._run_dataset(Dataset(X=x, Y=ds.Y), METHODS, k=k, k_star=None, n_iter=5, truth=truth)
+                errors = [str(est) for est, _ in outcomes if isinstance(est, Exception)]
+                assert errors, name
+                for err in errors:
+                    assert re.match(r"(selection failed: )?step \d \(", err), (name, k, err)
+        with np.errstate(over="ignore", invalid="ignore"), pytest.raises(NumericalError) as info:
+            fit_homoscedastic(Dataset(X=1e160 * ds.X, Y=ds.Y), 2)
+        assert str(info.value) == "step 1 (interaction regression): SVD did not converge"
 
     def test_correct_specification_beats_overprojection_when_no_interactions(self):
         # with C = 0 both estimators converge to a projected target, but the

@@ -31,6 +31,13 @@ non_interaction_hetero fit at n_iter = 20, so long HeteroPCA chains
 (warm-started from step to step in a tree that does so) are compared by
 basis and theta like the other fits.
 
+Three fixed failing datasets (n=60, m=8, p=2: the simulated X with two
+equal columns, X = 0, and X times 1e160, whose products X_j X_k
+overflow) are fitted by all six methods with K = 2 through fit_method,
+the oracle with the dataset's own truth. A fit that succeeds in one tree
+and fails in the other is a changed outcome; each error class or message
+that differs is printed, not gated.
+
 The script prints the largest sin-theta between the projection bases the
 two trees fit with and the largest relative Frobenius error of theta,
 over every fit of both kinds of call, the largest absolute change of
@@ -77,6 +84,13 @@ NULL_SPACE_FITS = {
 #: HeteroPCA steps of the long-chain fits on the m = 500 datasets.
 LONG_N_ITER = 20
 LONG_CHAINS = tuple(f"{method} n_iter={LONG_N_ITER}" for method in ("interaction_hetero", "non_interaction_hetero"))
+#: Designs of the failing datasets, each from the simulated X of FAILING_CONFIG.
+FAILING = {
+    "equal columns": lambda x: x[:, [0, 0]],
+    "zero X": np.zeros_like,
+    "X x 1e160": lambda x: 1e160 * x,
+}
+FAILING_CONFIG = {"n": 60, "m": 8, "p": 2, "k": 2, "seed": 0}
 #: Test-split rows of each bundle: enough for the metrics, cheap at m = 500.
 N_STAR = 1000
 ONE_THREAD = {name: "1" for name in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")}
@@ -87,7 +101,7 @@ def run_tree(src: str, out_path: str) -> None:
     sys.path.insert(0, os.path.abspath(src))
     from deconfound import bench, estimators, regress, spectral
     from deconfound.errors import DeconfoundError
-    from deconfound.model import SimulationConfig
+    from deconfound.model import Dataset, SimulationConfig
     from deconfound.simulate import generate, generate_test_split
 
     if not os.path.abspath(estimators.__file__).startswith(os.path.abspath(src)):
@@ -125,6 +139,16 @@ def run_tree(src: str, out_path: str) -> None:
     regress.fit_projected_ols = capture_basis
     spectral.build_projection = capture_blocks
     results = {}
+    base, truth = generate(SimulationConfig(**FAILING_CONFIG))
+    for name, design in FAILING.items():
+        dataset = Dataset(X=design(base.X), Y=base.Y)
+        for method in METHODS:
+            try:
+                with np.errstate(over="ignore", invalid="ignore"):
+                    estimators.fit_method(dataset, method, k=FAILING_CONFIG["k"], truth=truth)
+                results[(f"failing/{name}", method)] = "ok"
+            except (DeconfoundError, np.linalg.LinAlgError) as err:
+                results[(f"failing/{name}", method)] = (type(err).__name__, str(err))
     for setting, (m, n, seeds) in SETTINGS.items():
         for noise_name, (noise, alpha) in NOISES.items():
             for seed in seeds:
@@ -212,6 +236,7 @@ def compare(parent: dict, change: dict) -> int:
     worst_basis, worst_theta, worst_pmse = (0.0, "-"), (0.0, "-"), (0.0, "-")
     changed_k, changed_fits, n_selections, n_fits, n_runs, n_long, n_splits, n_pmse = [], [], 0, 0, 0, 0, 0, 0
     changed_surfaces, n_surfaces = [], 0
+    changed_errors, n_failing = [], 0
 
     def compare_basis(u_old, u_new, where: str) -> bool:
         nonlocal worst_basis
@@ -235,7 +260,14 @@ def compare(parent: dict, change: dict) -> int:
     for key, old in parent.items():
         new = change[key]
         case, what = key
-        if what == "data":
+        if case.startswith("failing/"):
+            n_failing += 1
+            n_fits += 1
+            if (old == "ok") != (new == "ok"):
+                changed_fits.append(f"{case} {what}: {old} -> {new}")
+            elif old != new:
+                changed_errors.append(f"{case} {what}: {': '.join(old)} -> {': '.join(new)}")
+        elif what == "data":
             if not all(np.array_equal(a, b) for a, b in zip(old, new)):
                 print(f"{case}: the two trees draw different datasets; results are not comparable\nFAIL")
                 return 1
@@ -299,6 +331,9 @@ def compare(parent: dict, change: dict) -> int:
     print(f"max pmse_log change: {worst_pmse[0]:.2e} over {n_pmse} run records at {worst_pmse[1]}")
     print(f"bench runs compared: {n_runs} ({', '.join(RUNS)} per dataset)")
     print(f"long HeteroPCA chains compared: {n_long} ({', '.join(LONG_CHAINS)} per S2 and stress dataset)")
+    print(f"failing-input errors changed: {len(changed_errors)} of {n_failing} fits (not gated)")
+    for line in changed_errors:
+        print(f"  {line}")
     print(f"K selections changed: {len(changed_k)} of {n_selections} (selector calls and K in run records)")
     print(f"fit outcomes changed: {len(changed_fits)} of {n_fits} (single fits and run records)")
     for line in changed_k + changed_fits:
