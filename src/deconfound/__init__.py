@@ -71,7 +71,6 @@ from .model import (
     DebiasedEstimate,
     FirstStageFit,
     GroundTruth,
-    NoiseSpec,
     ProjectionBasis,
     SimulationConfig,
     validate,

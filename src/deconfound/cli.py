@@ -56,7 +56,7 @@ def build_parser() -> argparse.ArgumentParser:
     sim.add_argument("--p", type=int, default=2)
     sim.add_argument("--k", type=int, default=3)
     sim.add_argument("--eta", type=float, default=0.5, help="observed-hidden dependence level")
-    sim.add_argument("--alpha", type=float, default=0.0, help="heteroscedasticity exponent")
+    sim.add_argument("--alpha", type=float, default=0.0, help="heteroscedasticity exponent (0 with --noise homo)")
     sim.add_argument("--sigma-w", type=float, default=1.0)
     sim.add_argument("--noise", choices=("homo", "hetero"), default="homo")
     sim.add_argument("--seed", type=int, default=0)

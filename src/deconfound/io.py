@@ -14,7 +14,7 @@ from typing import Any
 import numpy as np
 
 from .errors import DataError
-from .model import Dataset, GroundTruth, NoiseSpec
+from .model import Dataset, GroundTruth
 
 FLOAT_FMT = "%.17g"
 
@@ -58,14 +58,6 @@ def save_dataset(dataset: Dataset, x_path: str | Path, y_path: str | Path) -> No
     save_matrix_csv(y_path, dataset.Y)
 
 
-def _noise_to_obj(noise: NoiseSpec) -> dict[str, Any]:
-    return {"kind": noise.kind, "sigma2": noise.sigma2, "alpha": noise.alpha}
-
-
-def _noise_from_obj(obj: dict[str, Any]) -> NoiseSpec:
-    return NoiseSpec(kind=obj["kind"], sigma2=obj.get("sigma2"), alpha=obj.get("alpha"))
-
-
 def ground_truth_to_obj(truth: GroundTruth) -> dict[str, Any]:
     return {
         "a": matrix_to_obj(truth.A),
@@ -73,8 +65,7 @@ def ground_truth_to_obj(truth: GroundTruth) -> dict[str, Any]:
         "c": [matrix_to_obj(c) for c in truth.C],
         "psi": matrix_to_obj(truth.psi),
         "sigma_w": truth.sigma_w,
-        "noise": _noise_to_obj(truth.noise),
-        "tau2": None if truth.tau2 is None else [float(x) for x in truth.tau2],
+        "tau2": [float(x) for x in truth.tau2],
     }
 
 
@@ -86,8 +77,7 @@ def ground_truth_from_obj(obj: dict[str, Any]) -> GroundTruth:
             C=tuple(obj_to_matrix(c) for c in obj["c"]),
             psi=obj_to_matrix(obj["psi"]),
             sigma_w=float(obj["sigma_w"]),
-            noise=_noise_from_obj(obj["noise"]),
-            tau2=None if obj.get("tau2") is None else np.array(obj["tau2"], dtype=float),
+            tau2=np.array(obj["tau2"], dtype=float),
         )
     except KeyError as err:
         raise DataError(f"ground truth document missing field {err}") from err

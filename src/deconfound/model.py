@@ -92,49 +92,14 @@ def validate(dataset: Dataset) -> None:
 
 
 @dataclass(frozen=True)
-class NoiseSpec:
-    """Noise model for the response errors E.
-
-    kind "homoscedastic": Cov(E) = sigma2 * I_m.
-    kind "heteroscedastic": independent coordinates with variances drawn
-    from the alpha-controlled profile of the simulation design.
-    """
-
-    kind: str
-    sigma2: float | None = None
-    alpha: float | None = None
-
-    def __post_init__(self):
-        if self.kind not in NOISE_KINDS:
-            raise DataError(f"unknown noise kind {self.kind!r}")
-        for name, value in (("sigma2", self.sigma2), ("alpha", self.alpha)):
-            if value is not None and not np.isfinite(value):
-                raise DataError(f"noise {name} must be finite, got {value}")
-        if self.kind == "homoscedastic":
-            if self.sigma2 is None or not self.sigma2 > 0:
-                raise DataError("homoscedastic noise requires sigma2 > 0")
-        else:
-            if self.alpha is None or self.alpha < 0:
-                raise DataError("heteroscedastic noise requires alpha >= 0")
-
-    @classmethod
-    def homoscedastic(cls, sigma2: float = 1.0) -> "NoiseSpec":
-        return cls(kind="homoscedastic", sigma2=float(sigma2))
-
-    @classmethod
-    def heteroscedastic(cls, alpha: float) -> "NoiseSpec":
-        return cls(kind="heteroscedastic", alpha=float(alpha))
-
-
-@dataclass(frozen=True)
 class GroundTruth:
     """Generating parameters of one simulated problem instance.
 
     A: (p, m) direct effects. B: (K, m) hidden main effects. C: p matrices
     (K, m) of hidden interaction effects. psi: (p, K) projection of the
-    hidden variables onto X. tau2 holds the realized per-response noise
-    variances for heteroscedastic noise so that test splits reuse the same
-    profile.
+    hidden variables onto X. tau2: (m,) per-response noise variances, the
+    diagonal of Cov(E); all ones for homoscedastic noise. Test splits reuse
+    the same profile.
     """
 
     A: np.ndarray
@@ -142,16 +107,14 @@ class GroundTruth:
     C: tuple[np.ndarray, ...]
     psi: np.ndarray
     sigma_w: float
-    noise: NoiseSpec
-    tau2: np.ndarray | None = None
+    tau2: np.ndarray
 
     def __post_init__(self):
         object.__setattr__(self, "A", _freeze(self.A, "A"))
         object.__setattr__(self, "B", _freeze(self.B, "B"))
         object.__setattr__(self, "C", tuple(_freeze(c, f"C[{j}]") for j, c in enumerate(self.C)))
         object.__setattr__(self, "psi", _freeze(self.psi, "psi"))
-        if self.tau2 is not None:
-            object.__setattr__(self, "tau2", _freeze(self.tau2, "tau2", ndim=1))
+        object.__setattr__(self, "tau2", _freeze(self.tau2, "tau2", ndim=1))
         p, m = self.A.shape
         k = self.B.shape[0]
         if k < 1:
@@ -171,9 +134,9 @@ class GroundTruth:
             raise DataError("sigma_w must be positive")
         if (p + 1) * k > m:
             raise DataError(f"(p+1)*K = {(p + 1) * k} exceeds m = {m}")
-        if self.tau2 is not None and self.tau2.shape != (m,):
+        if self.tau2.shape != (m,):
             raise DimensionMismatchError(f"tau2 must have length m = {m}, got {self.tau2.shape}")
-        if self.tau2 is not None and np.any(self.tau2 < 0):
+        if np.any(self.tau2 < 0):
             raise DataError(f"tau2 must be nonnegative, got {float(np.min(self.tau2))}")
 
     @property
@@ -304,9 +267,10 @@ class SimulationConfig:
     """Parameters of the simulation design.
 
     eta_dep scales the dependence between observed and hidden variables,
-    alpha the degree of noise heteroscedasticity. second_param records
-    whether the 0.1 in the Normal(0.5, 0.1) parameter draws is read as a
-    variance or a standard deviation (the source is ambiguous).
+    alpha the degree of noise heteroscedasticity (0 for homoscedastic
+    noise). second_param records whether the 0.1 in the Normal(0.5, 0.1)
+    parameter draws is read as a variance or a standard deviation (the
+    source is ambiguous).
     """
 
     n: int
@@ -341,6 +305,8 @@ class SimulationConfig:
             raise DataError("sigma_w must be positive")
         if self.noise not in NOISE_KINDS:
             raise DataError(f"unknown noise kind {self.noise!r}")
+        if self.noise == "homoscedastic" and self.alpha != 0:
+            raise DataError(f"homoscedastic noise needs alpha = 0, got {self.alpha}")
         if not 0 <= self.seed < 2**64:
             raise DataError("seed must fit in an unsigned 64-bit integer")
         if self.second_param not in ("variance", "stddev"):

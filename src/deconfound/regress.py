@@ -26,15 +26,21 @@ def expand_interactions(X: np.ndarray) -> np.ndarray:
 
     Column c < p is the linear term X_c; column p + i is the product
     X_j * X_k of the i-th pair (j, k) of interaction_pairs(p), so
-    q = p + p(p+1)/2.
+    q = p + p(p+1)/2. A product that overflows raises NonFiniteError.
     """
     X = np.asarray(X, dtype=float)
     if X.ndim != 2:
         raise DimensionMismatchError(f"X must be 2-d, got shape {X.shape}")
     if not np.all(np.isfinite(X)):
         raise NonFiniteError("X contains non-finite entries")
-    products = [X[:, j] * X[:, k] for j, k in interaction_pairs(X.shape[1])]
-    return np.column_stack([X] + products) if products else X.copy()
+    pairs = interaction_pairs(X.shape[1])
+    with np.errstate(over="ignore"):
+        design = np.column_stack([X] + [X[:, j] * X[:, k] for j, k in pairs]) if pairs else X.copy()
+    if not np.all(np.isfinite(design)):
+        row, column = np.argwhere(~np.isfinite(design))[0]
+        j, k = pairs[column - X.shape[1]]
+        raise NonFiniteError(f"interaction X_{j} * X_{k} overflows at row {row}")
+    return design
 
 
 def _check_conditioning(singular_values: np.ndarray, what: str) -> None:

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DataError, DimensionMismatchError
-from .model import Dataset, GroundTruth, NoiseSpec, SimulationConfig
+from .model import Dataset, GroundTruth, SimulationConfig
 
 _BLOCKS = ("X", "psi", "A", "B", "C", "W", "E", "v", "X_test", "W_test", "E_test")
 
@@ -59,21 +59,17 @@ def _draw_tau2(config: SimulationConfig) -> np.ndarray:
     return config.m * weights / weights.sum() * (config.p + 1)
 
 
-def _scale_noise(noise: NoiseSpec, tau2: np.ndarray | None, draws: np.ndarray) -> np.ndarray:
-    """Standard normal draws scaled in place to the noise model's per-response variances."""
-    if noise.kind == "homoscedastic":
-        return np.multiply(np.sqrt(noise.sigma2), draws, out=draws)
+def _scale_noise(tau2: np.ndarray, draws: np.ndarray) -> np.ndarray:
+    """Standard normal draws scaled in place to the per-response variances tau2."""
     return np.multiply(draws, np.sqrt(tau2)[None, :], out=draws)
 
 
-def _draw_noise(
-    config: SimulationConfig, noise: NoiseSpec, tau2: np.ndarray | None, n: int, block: str
-) -> np.ndarray:
-    return _scale_noise(noise, tau2, _rng(config.seed, block).standard_normal((n, config.m)))
+def _draw_noise(config: SimulationConfig, tau2: np.ndarray, n: int, block: str) -> np.ndarray:
+    return _scale_noise(tau2, _rng(config.seed, block).standard_normal((n, config.m)))
 
 
-def _noise_chunks(config: SimulationConfig, noise: NoiseSpec, tau2: np.ndarray | None, n: int, block: str):
-    """(start row, rows) of _draw_noise(config, noise, tau2, n, block), CHUNK_ROWS rows at a time.
+def _noise_chunks(config: SimulationConfig, tau2: np.ndarray, n: int, block: str):
+    """(start row, rows) of _draw_noise(config, tau2, n, block), CHUNK_ROWS rows at a time.
 
     Every chunk is drawn into one reused buffer, so each must be consumed
     before the next is drawn. Philox draws in sequence, so the chunks
@@ -83,7 +79,7 @@ def _noise_chunks(config: SimulationConfig, noise: NoiseSpec, tau2: np.ndarray |
     buffer = np.empty((min(n, CHUNK_ROWS), config.m))
     for start in range(0, n, CHUNK_ROWS):
         rows = buffer[: min(CHUNK_ROWS, n - start)]
-        yield start, _scale_noise(noise, tau2, rng.standard_normal(out=rows))
+        yield start, _scale_noise(tau2, rng.standard_normal(out=rows))
 
 
 def structural_response(X: np.ndarray, Z: np.ndarray, truth: GroundTruth) -> np.ndarray:
@@ -110,7 +106,7 @@ def _draw_rows(config: SimulationConfig, truth: GroundTruth, n: int, suffix: str
     # noise is drawn after the response and added in place, so at most two
     # n x m arrays are alive at once
     y = structural_response(x, z, truth)
-    y += _draw_noise(config, truth.noise, truth.tau2, n, "E" + suffix)
+    y += _draw_noise(config, truth.tau2, n, "E" + suffix)
     return Dataset(X=x, Y=y)
 
 
@@ -122,19 +118,13 @@ def generate(config: SimulationConfig) -> tuple[Dataset, GroundTruth]:
     a = _normal(_rng(config.seed, "A"), 0.5, 0.1, (p, m), sp)
     b = 0.1 + _rng(config.seed, "B").standard_normal((k, m))
     c = 0.1 + _rng(config.seed, "C").standard_normal((p, k, m))
-    if config.noise == "homoscedastic":
-        noise = NoiseSpec.homoscedastic(1.0)
-        tau2 = None
-    else:
-        noise = NoiseSpec.heteroscedastic(config.alpha)
-        tau2 = _draw_tau2(config)
+    tau2 = np.ones(m) if config.noise == "homoscedastic" else _draw_tau2(config)
     truth = GroundTruth(
         A=a,
         B=b,
         C=tuple(c[j] for j in range(p)),
         psi=psi,
         sigma_w=config.sigma_w,
-        noise=noise,
         tau2=tau2,
     )
     return _draw_rows(config, truth, config.n, ""), truth
@@ -148,8 +138,6 @@ def _check_split(config: SimulationConfig, truth: GroundTruth, n_star: int) -> N
             f"truth dimensions (p={truth.p}, m={truth.m}, K={truth.k}) do not match the "
             f"configuration (p={config.p}, m={config.m}, K={config.k})"
         )
-    if truth.noise.kind == "heteroscedastic" and truth.tau2 is None:
-        raise DataError("heteroscedastic truth is missing its tau2 profile")
 
 
 def generate_test_split(
@@ -208,7 +196,7 @@ def split_statistics(
     features = np.hstack([x, z] + [x[:, j : j + 1] * z for j in range(truth.p)])
     cross = np.zeros((features.shape[1], truth.m))
     noise_ss = 0.0
-    for start, e in _noise_chunks(config, truth.noise, truth.tau2, n_star, "E_test"):
+    for start, e in _noise_chunks(config, truth.tau2, n_star, "E_test"):
         cross += features[start : start + len(e)].T @ e
         noise_ss += float(np.einsum("ij,ij->", e, e))
     return SplitStatistics(

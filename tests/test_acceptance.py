@@ -18,7 +18,6 @@ from deconfound.estimators import (
 )
 from deconfound.model import (
     GroundTruth,
-    NoiseSpec,
     ProjectionBasis,
     SimulationConfig,
 )
@@ -49,7 +48,7 @@ def test_criterion_01_oracle_annihilation():
             C=tuple(rng.standard_normal((k, m)) for _ in range(p)),
             psi=rng.standard_normal((p, k)),
             sigma_w=1.0,
-            noise=NoiseSpec.homoscedastic(),
+            tau2=np.ones(m),
         )
         basis = oracle_basis(truth)
         stacked = truth.stacked_hidden_effects()
@@ -231,7 +230,7 @@ def test_criterion_09_simulation_moments():
         n=100000, m=20, p=2, k=2, noise="heteroscedastic", alpha=9.0, seed=909
     )
     _, truth2 = generate(cfg2)
-    noise = _draw_noise(cfg2, truth2.noise, truth2.tau2, cfg2.n, "E")
+    noise = _draw_noise(cfg2, truth2.tau2, cfg2.n, "E")
     rel = np.max(np.abs(noise.var(axis=0) / truth2.tau2 - 1.0))
     assert rel < 0.10
     _report(9, f"max |Cov(X)-Sigma| = {dev:.4f} < 0.02; worst tau^2 rel dev = {rel:.4f} < 0.10")

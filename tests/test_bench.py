@@ -16,7 +16,7 @@ from deconfound.bench import (
 )
 from deconfound import bench, regress
 from deconfound.errors import DataError, DimensionMismatchError
-from deconfound.model import METHODS, Dataset, GroundTruth, NoiseSpec, SimulationConfig
+from deconfound.model import METHODS, Dataset, GroundTruth, SimulationConfig
 from deconfound.simulate import CHUNK_ROWS, generate, generate_test_split, split_statistics
 
 
@@ -73,7 +73,7 @@ class TestSNR:
             A=rng.standard_normal((1, m)), B=b,
             C=(rng.standard_normal((k, m)),),
             psi=rng.standard_normal((1, k)), sigma_w=sigma_w,
-            noise=NoiseSpec.homoscedastic(),
+            tau2=np.ones(m),
         )
 
     def test_orthogonal_rows_of_norm_m(self):
@@ -258,14 +258,12 @@ class TestBundleScoring:
         with pytest.raises(DimensionMismatchError, match=r"needs \(2, 12\)"):
             split.mean_squared_error(np.zeros((2, 11)))
 
-    @pytest.mark.parametrize("bad", ["tau2 missing", "wrong m", "n_star 0"])
+    @pytest.mark.parametrize("bad", ["wrong m", "n_star 0"])
     def test_bad_split_fails_as_generate_test_split_does(self, monkeypatch, bad):
         grid = _tiny_grid(sweep_values=(0.5,), replicates=1, methods=("ols",), n_star=100)
         config = grid.config_for(0.5, 0)
         dataset, truth = generate(config)
-        if bad == "tau2 missing":
-            truth = replace(truth, noise=NoiseSpec.heteroscedastic(6.0), tau2=None)
-        elif bad == "wrong m":
+        if bad == "wrong m":
             truth = generate(replace(config, m=12))[1]
         n_star = 0 if bad == "n_star 0" else grid.n_star
         with pytest.raises(DataError) as want:

@@ -204,13 +204,15 @@ class TestBenchmarkCommand:
 
 
 class TestBadSweepValues:
-    """A bad sweep value, replicate count, k_star or cv seed, or a repeated method tag, exits 2 before any dataset is generated or fold is fitted."""
+    """A bad sweep value, replicate count, k_star or cv seed, a repeated method tag, or alpha != 0 with homoscedastic noise, exits 2 before any dataset is generated or fold is fitted."""
 
     @pytest.mark.parametrize(
         "args",
         [
             ["benchmark", "--setting", "2", "--sweep", "eta_dep=0.5,0.9,-1", "--replicates", "2"],
             ["benchmark", "--setting", "1", "--sweep", "alpha=0,inf", "--replicates", "1"],
+            ["benchmark", "--setting", "1", "--noise", "homo", "--sweep", "alpha=0,6", "--replicates", "1"],
+            ["simulate", "--n", "60", "--m", "12", "--k", "2", "--alpha", "6"],
             ["select-k", "--sigma-w", "1,0", "--replicates", "1"],
             ["select-k", "--sigma-w", "1,nan", "--replicates", "1"],
         ],

@@ -1,6 +1,7 @@
 import gc
 import itertools
 import re
+import warnings
 import weakref
 
 import numpy as np
@@ -31,7 +32,6 @@ from deconfound.model import (
     METHODS,
     Dataset,
     GroundTruth,
-    NoiseSpec,
     ProjectionBasis,
     SimulationConfig,
 )
@@ -94,7 +94,7 @@ class TestOracle:
                     C=tuple(rng.standard_normal((k, m)) for _ in range(p)),
                     psi=rng.standard_normal((p, k)),
                     sigma_w=1.0,
-                    noise=NoiseSpec.homoscedastic(),
+                    tau2=np.ones(m),
                 )
             )
         for truth in truths:
@@ -118,7 +118,7 @@ class TestOracle:
                 C=(rng.standard_normal((3, 10)),),
                 psi=rng.standard_normal((1, 2)),
                 sigma_w=1.0,
-                noise=NoiseSpec.homoscedastic(),
+                tau2=np.ones(10),
             )
 
 
@@ -396,7 +396,7 @@ class TestNonInteraction:
 
     def test_every_failure_names_its_step(self):
         # equal columns, an all-zero design, and a design whose products X_j X_k overflow
-        # (numpy's SVD then raises LinAlgError, reported as step 1's NumericalError)
+        # (reported by the interaction families as step 1's NonFiniteError, without a warning)
         ds, truth = generate(SimulationConfig(n=60, m=8, p=2, k=2, seed=27))
         designs = {
             "equal columns": ds.X[:, [0, 0]],
@@ -411,9 +411,10 @@ class TestNonInteraction:
                 assert errors, name
                 for err in errors:
                     assert re.match(r"(selection failed: )?step \d \(", err), (name, k, err)
-        with np.errstate(over="ignore", invalid="ignore"), pytest.raises(NumericalError) as info:
+        with warnings.catch_warnings(), pytest.raises(NonFiniteError) as info:
+            warnings.simplefilter("error")
             fit_homoscedastic(Dataset(X=1e160 * ds.X, Y=ds.Y), 2)
-        assert str(info.value) == "step 1 (interaction regression): SVD did not converge"
+        assert str(info.value) == "step 1 (interaction regression): interaction X_0 * X_0 overflows at row 0"
 
     def test_correct_specification_beats_overprojection_when_no_interactions(self):
         # with C = 0 both estimators converge to a projected target, but the

@@ -52,17 +52,18 @@ class TestDatasetIO:
 
 class TestJSONDocuments:
     def test_ground_truth_round_trip(self, tmp_path):
-        cfg = SimulationConfig(n=20, m=8, p=2, k=2, noise="heteroscedastic", alpha=4.0, seed=2)
-        _, truth = generate(cfg)
-        path = tmp_path / "truth.json"
-        io.write_json(path, io.ground_truth_to_obj(truth))
-        back = io.ground_truth_from_obj(io.read_json(path))
-        assert np.array_equal(truth.A, back.A)
-        assert np.array_equal(truth.B, back.B)
-        assert all(np.array_equal(c1, c2) for c1, c2 in zip(truth.C, back.C))
-        assert np.array_equal(truth.psi, back.psi)
-        assert np.array_equal(truth.tau2, back.tau2)
-        assert truth.noise == back.noise
+        for noise, alpha in (("homoscedastic", 0.0), ("heteroscedastic", 4.0)):
+            cfg = SimulationConfig(n=20, m=8, p=2, k=2, noise=noise, alpha=alpha, seed=2)
+            _, truth = generate(cfg)
+            path = tmp_path / "truth.json"
+            io.write_json(path, io.ground_truth_to_obj(truth))
+            back = io.ground_truth_from_obj(io.read_json(path))
+            assert np.array_equal(truth.A, back.A)
+            assert np.array_equal(truth.B, back.B)
+            assert all(np.array_equal(c1, c2) for c1, c2 in zip(truth.C, back.C))
+            assert np.array_equal(truth.psi, back.psi)
+            assert np.array_equal(truth.tau2, back.tau2)
+            assert truth.sigma_w == back.sigma_w
 
     def test_malformed_matrix(self):
         with pytest.raises(DataError):
@@ -71,14 +72,12 @@ class TestJSONDocuments:
     @pytest.mark.parametrize(
         "edit, match",
         [
-            (
-                lambda obj: obj.update(noise={"kind": "homoscedastic", "sigma2": float("inf"), "alpha": None}, tau2=None),
-                "noise sigma2 must be finite",
-            ),
-            (lambda obj: obj["noise"].update(alpha=float("nan")), "noise alpha must be finite"),
+            # the homoscedastic form of documents written before tau2 was always a list
+            (lambda obj: obj.update(tau2=None), "tau2 must be a 1-d array"),
+            (lambda obj: obj.pop("tau2"), "missing field 'tau2'"),
             (lambda obj: obj["tau2"].__setitem__(3, -0.5), "tau2 must be nonnegative"),
         ],
-        ids=["sigma2 inf", "alpha nan", "tau2 negative"],
+        ids=["tau2 null", "tau2 missing", "tau2 negative"],
     )
     def test_bad_noise_inputs_rejected(self, edit, match):
         cfg = SimulationConfig(n=20, m=8, p=2, k=2, noise="heteroscedastic", alpha=4.0, seed=2)
@@ -91,11 +90,11 @@ class TestJSONDocuments:
     @pytest.mark.parametrize(
         "edit",
         [
-            lambda obj: obj["noise"].update(kind="homoscedastic", sigma2="1.0", alpha=None),
+            lambda obj: obj.update(tau2="ones"),
             lambda obj: obj.update(sigma_w="one"),
             lambda obj: obj.update(c=3),
         ],
-        ids=["sigma2 string", "sigma_w string", "c not a list"],
+        ids=["tau2 string", "sigma_w string", "c not a list"],
     )
     def test_mistyped_fields_rejected(self, edit):
         cfg = SimulationConfig(n=20, m=8, p=2, k=2, seed=2)

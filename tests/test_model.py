@@ -9,7 +9,6 @@ from deconfound.model import (
     DebiasedEstimate,
     FirstStageFit,
     GroundTruth,
-    NoiseSpec,
     ProjectionBasis,
     SimulationConfig,
     validate,
@@ -44,22 +43,6 @@ class TestDataset:
             ds.X[0, 0] = 1.0
 
 
-class TestNoiseSpec:
-    def test_homoscedastic_requires_positive_sigma2(self):
-        with pytest.raises(DataError):
-            NoiseSpec(kind="homoscedastic", sigma2=0.0)
-        assert NoiseSpec.homoscedastic().sigma2 == 1.0
-
-    def test_heteroscedastic_requires_nonneg_alpha(self):
-        with pytest.raises(DataError):
-            NoiseSpec(kind="heteroscedastic", alpha=-1.0)
-        assert NoiseSpec.heteroscedastic(3.0).alpha == 3.0
-
-    def test_unknown_kind(self):
-        with pytest.raises(DataError):
-            NoiseSpec(kind="mixed")
-
-
 def _truth(p=2, k=2, m=8):
     rng = np.random.default_rng(0)
     return GroundTruth(
@@ -68,7 +51,7 @@ def _truth(p=2, k=2, m=8):
         C=tuple(rng.standard_normal((k, m)) for _ in range(p)),
         psi=rng.standard_normal((p, k)),
         sigma_w=1.0,
-        noise=NoiseSpec.homoscedastic(),
+        tau2=np.ones(m),
     )
 
 
@@ -83,14 +66,19 @@ class TestGroundTruth:
         with pytest.raises(DimensionMismatchError):
             GroundTruth(
                 A=truth.A, B=truth.B, C=truth.C[:1], psi=truth.psi,
-                sigma_w=1.0, noise=truth.noise,
+                sigma_w=1.0, tau2=truth.tau2,
             )
+
+    def test_tau2_is_required(self):
+        truth = _truth()
+        with pytest.raises(TypeError, match="tau2"):
+            GroundTruth(A=truth.A, B=truth.B, C=truth.C, psi=truth.psi, sigma_w=1.0)
 
     @pytest.mark.parametrize("sigma_w", [float("inf"), float("nan")])
     def test_sigma_w_must_be_finite(self, sigma_w):
         truth = _truth()
         with pytest.raises(DataError, match="sigma_w must be finite"):
-            GroundTruth(A=truth.A, B=truth.B, C=truth.C, psi=truth.psi, sigma_w=sigma_w, noise=truth.noise)
+            GroundTruth(A=truth.A, B=truth.B, C=truth.C, psi=truth.psi, sigma_w=sigma_w, tau2=truth.tau2)
 
     def test_rank_budget(self):
         rng = np.random.default_rng(1)
@@ -101,7 +89,7 @@ class TestGroundTruth:
                 C=tuple(rng.standard_normal((2, 5)) for _ in range(2)),
                 psi=rng.standard_normal((2, 2)),
                 sigma_w=1.0,
-                noise=NoiseSpec.homoscedastic(),
+                tau2=np.ones(5),
             )
 
 
@@ -177,6 +165,11 @@ class TestSimulationConfig:
         with pytest.raises(DataError, match=f"{name} must be finite"):
             SimulationConfig(n=100, m=25, p=2, k=3, **{name: value})
 
+    def test_homoscedastic_noise_needs_alpha_zero(self):
+        with pytest.raises(DataError, match="homoscedastic noise needs alpha = 0, got 6.0"):
+            SimulationConfig(n=100, m=25, p=2, k=3, alpha=6.0)
+        SimulationConfig(n=100, m=25, p=2, k=3, alpha=6.0, noise="heteroscedastic")
+
 
 #: One valid keyword set per frozen type, and every stored array as (field, index, name).
 _FROZEN = [
@@ -185,7 +178,7 @@ _FROZEN = [
         GroundTruth,
         dict(
             A=np.ones((2, 8)), B=np.ones((2, 8)), C=(np.ones((2, 8)), np.ones((2, 8))), psi=np.ones((2, 2)),
-            sigma_w=1.0, noise=NoiseSpec.heteroscedastic(1.0), tau2=np.ones(8),
+            sigma_w=1.0, tau2=np.ones(8),
         ),
         [("A", None, "A"), ("B", None, "B"), ("C", 0, "C[0]"), ("C", 1, "C[1]"), ("psi", None, "psi"),
          ("tau2", None, "tau2")],

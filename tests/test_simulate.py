@@ -95,11 +95,10 @@ class TestNoise:
         _, truth = generate(cfg)
         assert np.array_equal(truth.tau2, tau2)
 
-    def test_homoscedastic_truth_has_no_tau2(self):
+    def test_homoscedastic_truth_has_unit_tau2(self):
         cfg = SimulationConfig(n=50, m=12, p=2, k=2, seed=15)
         _, truth = generate(cfg)
-        assert truth.tau2 is None
-        assert truth.noise.kind == "homoscedastic" and truth.noise.sigma2 == 1.0
+        assert np.array_equal(truth.tau2, np.ones(cfg.m))
 
 
 class TestConditionalMean:
@@ -133,7 +132,7 @@ class TestConditionalMean:
         ds, truth = generate(cfg)
         test = generate_test_split(cfg, truth, 90)
         chol = np.linalg.cholesky(ar_covariance(p))
-        scale = np.sqrt(truth.tau2) if truth.tau2 is not None else np.sqrt(truth.noise.sigma2)
+        scale = np.sqrt(truth.tau2)
         for got, n, blocks in ((ds, cfg.n, ("X", "W", "E")), (test, 90, ("X_test", "W_test", "E_test"))):
             x = _rng(cfg.seed, blocks[0]).standard_normal((n, p)) @ chol.T
             z = x @ truth.psi + truth.sigma_w * _rng(cfg.seed, blocks[1]).standard_normal((n, cfg.k))
@@ -203,7 +202,7 @@ class TestNoiseChunks:
     def test_chunks_are_the_one_shot_draw(self, noise, alpha, n):
         cfg = SimulationConfig(n=50, m=9, p=2, k=2, noise=noise, alpha=alpha, seed=27)
         _, truth = generate(cfg)
-        chunks = [(start, rows.copy()) for start, rows in _noise_chunks(cfg, truth.noise, truth.tau2, n, "E_test")]
+        chunks = [(start, rows.copy()) for start, rows in _noise_chunks(cfg, truth.tau2, n, "E_test")]
         assert [start for start, _ in chunks] == list(range(0, n, CHUNK_ROWS))
-        one_shot = _draw_noise(cfg, truth.noise, truth.tau2, n, "E_test")
+        one_shot = _draw_noise(cfg, truth.tau2, n, "E_test")
         assert np.array_equal(np.vstack([rows for _, rows in chunks]), one_shot)

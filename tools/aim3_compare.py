@@ -50,8 +50,11 @@ purpose), and whether any K selection, fit outcome, recorded K or recorded
 error changed. It exits 1 when a result
 breaks ROADMAP aim 3 (sin-theta above 1e-10, theta error above 1e-8, a
 changed selection or outcome), or when the two trees draw different
-datasets or different N_STAR-row test splits (compared bitwise, by
-digest), since their results are then not comparable. Needs only numpy.
+datasets, different N_STAR-row test splits, or different split
+statistics (the gram, cross and noise_ss that simulate.split_statistics
+streams from the same split, which is what the bundles score), each
+compared bitwise by digest, since their results are then not comparable.
+Needs only numpy.
 """
 
 from __future__ import annotations
@@ -75,6 +78,7 @@ METHODS = ("ols", "oracle", "interaction_homo", "interaction_hetero", "non_inter
 SELECTORS = ("interaction", "non_interaction")
 RUNS = ("bundle known", "bundle selected", "cv 3-fold")
 SURFACES = "step-3 surfaces"
+SPLIT_STATS = "split statistics"
 #: The extra S2 fits whose blocks reach a surface's null space, by label: (method, known K).
 #: interaction_homo: (p+1)K = 120 <= m = 500; non_interaction_homo: K = n - p + 1.
 NULL_SPACE_FITS = {
@@ -102,7 +106,7 @@ def run_tree(src: str, out_path: str) -> None:
     from deconfound import bench, estimators, regress, spectral
     from deconfound.errors import DeconfoundError
     from deconfound.model import Dataset, SimulationConfig
-    from deconfound.simulate import generate, generate_test_split
+    from deconfound.simulate import generate, generate_test_split, split_statistics
 
     if not os.path.abspath(estimators.__file__).startswith(os.path.abspath(src)):
         raise SystemExit(f"imported deconfound from {estimators.__file__}, not from {src}")
@@ -158,6 +162,10 @@ def run_tree(src: str, out_path: str) -> None:
                 results[(case, "data")] = (dataset.X, dataset.Y)
                 test = generate_test_split(config, truth, N_STAR)
                 results[(case, "test split")] = hashlib.sha256(test.X.tobytes() + test.Y.tobytes()).hexdigest()
+                stats = split_statistics(config, truth, N_STAR)
+                results[(case, SPLIT_STATS)] = hashlib.sha256(
+                    stats.gram.tobytes() + stats.cross.tobytes() + np.float64(stats.noise_ss).tobytes()
+                ).hexdigest()
                 eps = regress.fit_first_stage(dataset).residuals
                 surfaces = regress.fit_diagonal_surfaces(eps, regress.diagonal_weights(dataset.X), list(range(dataset.p + 1)))
                 results[(case, SURFACES)] = hashlib.sha256(b"".join(s.tobytes() for s in surfaces)).hexdigest()
@@ -234,7 +242,7 @@ def _outcome(result) -> str:
 
 def compare(parent: dict, change: dict) -> int:
     worst_basis, worst_theta, worst_pmse = (0.0, "-"), (0.0, "-"), (0.0, "-")
-    changed_k, changed_fits, n_selections, n_fits, n_runs, n_long, n_splits, n_pmse = [], [], 0, 0, 0, 0, 0, 0
+    changed_k, changed_fits, n_selections, n_fits, n_runs, n_long, n_splits, n_stats, n_pmse = [], [], 0, 0, 0, 0, 0, 0, 0
     changed_surfaces, n_surfaces = [], 0
     changed_errors, n_failing = [], 0
 
@@ -275,6 +283,11 @@ def compare(parent: dict, change: dict) -> int:
             n_splits += 1
             if old != new:
                 print(f"{case}: the two trees draw different test splits; results are not comparable\nFAIL")
+                return 1
+        elif what == SPLIT_STATS:
+            n_stats += 1
+            if old != new:
+                print(f"{case}: the two trees stream different split statistics; results are not comparable\nFAIL")
                 return 1
         elif what == SURFACES:
             n_surfaces += 1
@@ -325,6 +338,7 @@ def compare(parent: dict, change: dict) -> int:
     print(f"max basis sin-theta: {worst_basis[0]:.2e} (bound {BASIS_BOUND:.0e}) at {worst_basis[1]}")
     print(f"max theta relative error: {worst_theta[0]:.2e} (bound {THETA_BOUND:.0e}) at {worst_theta[1]}")
     print(f"test splits compared bitwise: {n_splits}, all identical ({N_STAR} rows per dataset)")
+    print(f"split statistics compared bitwise: {n_stats}, all identical (gram, cross, noise_ss per dataset)")
     print(f"step-3 surfaces matching: {n_surfaces - len(changed_surfaces)} of {n_surfaces} (by digest, not gated)")
     for case in changed_surfaces:
         print(f"  {case}: step-3 surfaces differ")
