@@ -57,7 +57,10 @@ class _Stage:
     At n < m every surface lies in the n-dimensional row space of its
     residuals, so top-k eigenvectors come from n x n cores (see top_k)
     and an m x m surface is built only when the selector, HeteroPCA or
-    the fallback reads it.
+    the fallback reads it. Above the block iteration's size rule a K-known
+    fit takes a full eigh only of a surface or core whose top k that
+    iteration does not certify (see top_k); only the selector reads whole
+    spectra.
     """
 
     def __init__(self, dataset: Dataset):
@@ -134,24 +137,26 @@ class _Stage:
     def top_k(self, family: str, i: int, k: int) -> np.ndarray:
         """Top-k eigenvectors of the family's surface i. Raises step-4 errors.
 
-        At n < m they are the core's, mapped by Q, when the core's k-th
-        eigenvalue is positive beyond round-off (SV_RTOL of its largest
-        |eigenvalue|). Otherwise the surface's top k reach its null space,
-        and they come from the m x m surface as at n >= m.
+        Each block is spectral.top_k_eigenvectors': certified by the block
+        iteration above its size rule, else one full eigh. At n < m they
+        are the core's, mapped by Q, when the core's k-th eigenvalue is
+        positive beyond round-off (SV_RTOL of its largest |eigenvalue|,
+        which is the first certified Ritz value when the block iteration
+        certified the core, and the full spectrum's otherwise). Otherwise
+        the surface's top k reach its null space, and they come from the
+        m x m surface as at n >= m.
         """
 
         def compute():
-            source = self.names[family][i]
             if self.factored and k <= self.dataset.n:
                 q, cores = self._cores(family)
                 with _step(4, "eigenspace extraction"):
-                    v, spectrum = spectral.top_k_eigenvectors(cores[i], k, source=source)
-                vals = spectrum.eigenvalues
+                    v, vals = spectral.top_k_eigenvectors(cores[i], k)
                 if vals[k - 1] > regress.SV_RTOL * np.max(np.abs(vals)):
                     return spectral.fix_signs(q @ v)
             matrix = self.surface(family, i)
             with _step(4, "eigenspace extraction"):
-                return spectral.top_k_eigenvectors(matrix, k, source=source)[0]
+                return spectral.top_k_eigenvectors(matrix, k)[0]
 
         return self._once(("top_k", family, i, k), compute)
 

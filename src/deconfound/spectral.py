@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass
 
@@ -13,14 +14,27 @@ from .model import ProjectionBasis
 #: Singular-value ratio below which a concatenated basis counts as degenerate.
 DEGENERACY_RTOL = 1e-8
 
-#: Columns HeteroPCA's block iteration carries beyond the k it returns.
+#: Columns the block iteration carries beyond the k it returns.
 BLOCK_OVERSAMPLE = 10
-#: Smallest m, in block widths k + BLOCK_OVERSAMPLE, at which the block iteration replaces eigh
+#: Smallest m, in block widths k + BLOCK_OVERSAMPLE, at which HeteroPCA's block iteration replaces eigh
 #: (it breaks even with a 5-step eigh loop at about 7 widths for k = 1 and 3, and 9 for k = 5).
 BLOCK_MIN_WIDTHS = 8
+#: The same size rule for one top-k block (top_k_eigenvectors). That block starts cold from the
+#: fixed Gaussian block, not warm from a previous HeteroPCA step, and replaces one eigh, not a
+#: loop of them, so it needs more widths to pay off. Block iteration time over eigh time on
+#: n = 1000 interaction surfaces of true rank k, 2 seeds x 3 surfaces, all certified (2 vCPUs,
+#: OpenBLAS 0.3.31, 2 threads):
+#:     widths    k = 1        k = 3        k = 5
+#:     8         0.01-1.58    0.85-1.22    1.07-1.25
+#:     12        0.48-0.79    0.49-0.65    0.53-0.67
+#:     16        0.33-0.39    0.33-0.52    0.41-0.55
+#:     20        0.19-0.37    0.23-0.42    0.29-0.46
+#: Break-even is near 10 widths; 16 leaves room for a refused block, whose sweeps are spent
+#: before its eigh fallback (1.3-2.3x one eigh at m = 500).
+TOP_K_MIN_WIDTHS = 16
 #: Davis-Kahan sin-theta bound a block step must certify to be accepted.
 BLOCK_TOL = 1e-12
-#: Sweeps a block step may take before HeteroPCA falls back to eigh.
+#: Sweeps a block may take before it falls back to eigh.
 BLOCK_MAX_SWEEPS = 60
 
 
@@ -65,20 +79,25 @@ def eigen_spectrum(S: np.ndarray, source: str) -> SpectrumSummary:
     return SpectrumSummary(eigenvalues=vals[::-1], source=source)
 
 
-def top_k_eigenvectors(S: np.ndarray, k: int, source: str = "matrix") -> tuple[np.ndarray, SpectrumSummary]:
-    """Unit eigenvectors of the k algebraically largest eigenvalues.
+def top_k_eigenvectors(S: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
+    """Unit eigenvectors of the k algebraically largest eigenvalues, and the eigenvalues found.
 
-    The input is symmetrized before decomposition. Returns the m x k
-    eigenvector matrix (sign-normalized) and the full spectrum.
+    The input is symmetrized first. Returns the m x k eigenvector matrix
+    (sign-normalized) and the eigenvalues nonincreasing: the top k when
+    the block iteration (_certified_ritz, from the fixed-seed start block)
+    certifies them, which it tries on a finite input with m >=
+    TOP_K_MIN_WIDTHS * (k + BLOCK_OVERSAMPLE) and accepts only when all k
+    are positive, so that the k of largest |lambda| are also the
+    algebraic top k; otherwise all m of them from one full eigh (for
+    example on a tie at k, or when the largest |lambda| is negative). In
+    both cases the largest |value| returned is the largest |lambda| of S.
     """
     sym = _as_symmetric(S)
     m = sym.shape[0]
     if not 1 <= k <= m:
         raise NumericalError(f"k must satisfy 1 <= k <= m = {m}, got {k}")
-    vals, vecs = np.linalg.eigh(sym)
-    order = np.argsort(vals)[::-1]
-    spectrum = SpectrumSummary(eigenvalues=vals[order], source=source)
-    return fix_signs(vecs[:, order[:k]]), spectrum
+    vals, vecs, _ = _top_k_pairs(sym, k, _start_block(sym, k, TOP_K_MIN_WIDTHS), by_magnitude=False)
+    return fix_signs(vecs), vals
 
 
 def hetero_pca(S: np.ndarray, k: int, n_iter: int) -> np.ndarray:
@@ -111,21 +130,46 @@ def hetero_pca(S: np.ndarray, k: int, n_iter: int) -> np.ndarray:
     if n_iter < 0:
         raise DataError("n_iter must be nonnegative")
     np.fill_diagonal(current, 0.0)
-    block = None
-    if m >= BLOCK_MIN_WIDTHS * (k + BLOCK_OVERSAMPLE) and np.isfinite(current).all():
-        block = np.linalg.qr(np.random.default_rng(0).standard_normal((m, k + BLOCK_OVERSAMPLE)))[0]
+    block = _start_block(current, k, BLOCK_MIN_WIDTHS)
     for step in range(n_iter + 1):
-        ritz = None if block is None else _certified_ritz(current, k, block)
-        if ritz is None:
-            block = None
-            vals, vecs = np.linalg.eigh(current)
-            top = np.argsort(np.abs(vals))[: -k - 1 : -1]
-        else:
-            vals, vecs = ritz
-            block, top = vecs, slice(k)
+        vals, vecs, block = _top_k_pairs(current, k, block, by_magnitude=True)
         if step < n_iter:
-            np.fill_diagonal(current, np.square(vecs[:, top]) @ vals[top])
-    return fix_signs(vecs[:, top])
+            np.fill_diagonal(current, np.square(vecs) @ vals[:k])
+    return fix_signs(vecs)
+
+
+def _start_block(a: np.ndarray, k: int, min_widths: int) -> np.ndarray | None:
+    """The fixed-seed orthonormal m x (k + BLOCK_OVERSAMPLE) start block for a, or None.
+
+    None when m < min_widths * (k + BLOCK_OVERSAMPLE), where one eigh is
+    cheaper, or when a is not finite.
+    """
+    m, width = a.shape[0], k + BLOCK_OVERSAMPLE
+    if m < min_widths * width or not np.isfinite(a).all():
+        return None
+    return np.linalg.qr(np.random.default_rng(0).standard_normal((m, width)))[0]
+
+
+def _top_k_pairs(
+    a: np.ndarray, k: int, block: np.ndarray | None, by_magnitude: bool
+) -> tuple[np.ndarray, np.ndarray, np.ndarray | None]:
+    """(vals, vecs, ritz): a's top-k eigenvectors and nonincreasing eigenvalues, certified or from eigh.
+
+    Top means largest |lambda| when by_magnitude, else algebraically
+    largest. With a start block, they are _certified_ritz's when it
+    certifies them (and, unless by_magnitude, all k are positive): vals
+    are the k Ritz values, and ritz is the whole Ritz block, a warm start
+    for the next call. Otherwise (no block, not certified, or a
+    nonpositive Ritz value) they come from one full eigh of a: vals are
+    all m eigenvalues, and ritz is None.
+    """
+    ritz = None if block is None else _certified_ritz(a, k, block)
+    if ritz is not None and (by_magnitude or np.all(ritz[0][:k] > 0)):
+        theta, vecs = ritz
+        return theta[:k], vecs[:, :k], vecs
+    vals, vecs = np.linalg.eigh(a)
+    order = np.argsort(np.abs(vals) if by_magnitude else vals)[::-1]
+    return vals[order], vecs[:, order[:k]], None
 
 
 def _certified_ritz(a: np.ndarray, k: int, block: np.ndarray) -> tuple[np.ndarray, np.ndarray] | None:
@@ -136,19 +180,29 @@ def _certified_ritz(a: np.ndarray, k: int, block: np.ndarray) -> tuple[np.ndarra
     k satisfy ||a U_k - U_k Theta_k||_F <= BLOCK_TOL * (|theta_k| -
     |theta_k+1|), which bounds their sin-theta to the exact top-k
     eigenspace (Davis-Kahan); otherwise the next block is the orthonormal
-    basis of a @ block. None after BLOCK_MAX_SWEEPS sweeps.
+    basis of a @ block. Both sides of that test are scaled by 2^-e, with
+    2^e the power of two just above |theta_1|: that is exact, and keeps
+    the squares inside the norm from overflowing on a finite a near the
+    top of the double range. None after BLOCK_MAX_SWEEPS sweeps, or at
+    once when a product or a Ritz value is not finite.
     """
-    for _ in range(BLOCK_MAX_SWEEPS):
-        product = a @ block
-        small = block.T @ product
-        theta, y = np.linalg.eigh((small + small.T) / 2.0)
-        order = np.argsort(np.abs(theta))[::-1]
-        theta, y = theta[order], y[:, order]
-        ritz = block @ y
-        gap = abs(theta[k - 1]) - abs(theta[k])
-        if gap > 0 and np.linalg.norm(product @ y[:, :k] - ritz[:, :k] * theta[:k]) <= BLOCK_TOL * gap:
-            return theta, ritz
-        block = np.linalg.qr(product)[0]
+    with np.errstate(over="ignore", invalid="ignore"):
+        for _ in range(BLOCK_MAX_SWEEPS):
+            product = a @ block
+            small = block.T @ product
+            small = (small + small.T) / 2.0
+            if not np.isfinite(small).all():  # as it is whenever product is not finite
+                return None
+            theta, y = np.linalg.eigh(small)
+            order = np.argsort(np.abs(theta))[::-1]
+            theta, y = theta[order], y[:, order]
+            ritz = block @ y
+            gap = abs(theta[k - 1]) - abs(theta[k])
+            e = math.frexp(theta[0])[1]
+            residual = np.ldexp(product @ y[:, :k], -e) - ritz[:, :k] * np.ldexp(theta[:k], -e)
+            if gap > 0 and np.linalg.norm(residual) <= math.ldexp(BLOCK_TOL * gap, -e):
+                return theta, ritz
+            block = np.linalg.qr(product)[0]
     return None
 
 

@@ -46,6 +46,15 @@ from deconfound.spectral import (
 )
 
 
+K_READING_METHODS = ("interaction_homo", "interaction_hetero", "non_interaction_homo", "non_interaction_hetero")
+
+
+@pytest.fixture(scope="module")
+def stress_dataset():
+    """The stress point m=500, n=1000, where every K=3 top-k block is above the block iteration's size rule."""
+    return generate(SimulationConfig(n=1000, m=500, p=2, k=3, seed=25))[0]
+
+
 def _noiseless_linear(rng, n=50, p=2, m=6):
     a = rng.standard_normal((p, m))
     x = rng.standard_normal((n, p))
@@ -204,9 +213,9 @@ class TestInteractionPipelines:
     def test_steps_1_to_3_run_once_per_dataset(self, monkeypatch):
         # one bundle of all six methods with K selected: both selectors and
         # the four estimators share one first stage, one set of p+1
-        # surfaces, one linear fit, one mean outer product and one eigh per phi_C(j)
+        # surfaces, one linear fit, one mean outer product and one top-k block per phi_C(j)
         calls = {"first_stage": 0, "surfaces": 0, "linear": 0, "mean": 0}
-        sources = []
+        decomposed = []
 
         def counted(key, fn):
             def wrapper(*args, **kwargs):
@@ -223,9 +232,9 @@ class TestInteractionPipelines:
 
         top_k = spectral.top_k_eigenvectors
 
-        def recording_top_k(*args, **kwargs):
-            sources.append(kwargs.get("source"))
-            return top_k(*args, **kwargs)
+        def recording_top_k(matrix, *args):
+            decomposed.append(matrix)
+            return top_k(matrix, *args)
 
         monkeypatch.setattr(regress, "fit_first_stage", counted("first_stage", regress.fit_first_stage))
         monkeypatch.setattr(regress, "_contract_outer_products", counted("surfaces", regress._contract_outer_products))
@@ -240,7 +249,9 @@ class TestInteractionPipelines:
         report = run_grid(grid)
         assert report.failure_count() == 0
         assert calls == {"first_stage": 1, "surfaces": 3, "linear": 1, "mean": 1}
-        assert sources.count("phi_C[0]") == sources.count("phi_C[1]") == 1
+        # phi_B and both phi_C(j) for interaction_homo, phi_B_mean for
+        # non_interaction_homo; interaction_hetero reuses the phi_C(j) blocks
+        assert len(decomposed) == len({id(matrix) for matrix in decomposed}) == 4
         monkeypatch.undo()
         ds, truth = generate(grid.config_for(0.5, 0))
         outcomes = bench._run_dataset(ds, METHODS, k=None, k_star=2, n_iter=5, truth=truth)
@@ -551,6 +562,86 @@ class TestRowSpaceCore:
         monkeypatch.setattr(regress, "_contract_outer_products", recording_contract)
         fit_method(ds, "interaction_homo", k=3)
         assert len(shapes) == 6 and all(shape == (40, 40) for _, shape in shapes)
+
+    def test_known_k_fits_at_n_above_m_decompose_no_m_by_m_matrix(self, monkeypatch, stress_dataset):
+        # at m=500, n=1000 every top-k block and every HeteroPCA step is
+        # certified by the block iteration; only the selector reads whole spectra
+        shapes = {"eigh": [], "eigvalsh": []}
+        for name in shapes:
+
+            def recording(a, *args, _name=name, _original=getattr(np.linalg, name), **kwargs):
+                shapes[_name].append(np.shape(a))
+                return _original(a, *args, **kwargs)
+
+            monkeypatch.setattr(np.linalg, name, recording)
+        for method in K_READING_METHODS:
+            fit_method(stress_dataset, method, k=3)
+        assert shapes["eigh"] and (500, 500) not in shapes["eigh"] and not shapes["eigvalsh"]
+        select_k_hat(stress_dataset, "interaction", 3)
+        select_k_hat(stress_dataset, "non_interaction", 3)
+        assert shapes["eigvalsh"] == [(500, 500)] * 4 and (500, 500) not in shapes["eigh"]
+
+    def test_certified_cores_match_the_surfaces(self, monkeypatch):
+        # n = 250 cores are above the size rule at k = 3: their top k are
+        # certified Ritz vectors, and the positivity check reads theta_k / theta_1
+        ds, _ = generate(SimulationConfig(n=250, m=400, p=2, k=3, seed=26))
+        references = []
+        for surface in self._surfaces(ds):
+            vals, vecs = np.linalg.eigh(surface)
+            references.append(vecs[:, np.argsort(vals)[::-1][:3]])
+        blocks, shapes = [], []
+        build, eigh, contract = spectral.build_projection, np.linalg.eigh, regress._contract_outer_products
+
+        def recording_build(parts):
+            blocks.extend(parts)
+            return build(parts)
+
+        def recording_eigh(a, *args, **kwargs):
+            shapes.append(("eigh", np.shape(a)))
+            return eigh(a, *args, **kwargs)
+
+        def recording_contract(*args):
+            surface = contract(*args)
+            shapes.append(("surface", surface.shape))
+            return surface
+
+        monkeypatch.setattr(spectral, "build_projection", recording_build)
+        monkeypatch.setattr(np.linalg, "eigh", recording_eigh)
+        monkeypatch.setattr(regress, "_contract_outer_products", recording_contract)
+        fit_method(ds, "interaction_homo", k=3)
+        # three 250 x 250 cores, no m x m surface, and only the small Rayleigh-Ritz eighs
+        assert [shape for kind, shape in shapes if kind == "surface"] == [(250, 250)] * 3
+        assert all(shape[0] < ds.n for kind, shape in shapes if kind == "eigh")
+        assert all(sin_theta(block, reference) <= 1e-10 for block, reference in zip(blocks, references, strict=True))
+
+    def test_near_overflow_surfaces_are_certified_without_warnings(self, monkeypatch, stress_dataset):
+        # Y * 2**490 puts the surfaces near 1e295, where the squares inside an
+        # unscaled residual norm overflow and no block could be certified
+        theta = {method: fit_method(stress_dataset, method, k=3).theta for method in K_READING_METHODS}
+        scaled = Dataset(X=stress_dataset.X, Y=np.ldexp(stress_dataset.Y, 490))
+        calls = []  # [qr calls, certified] of each _certified_ritz call
+        qr, ritz = np.linalg.qr, spectral._certified_ritz
+
+        def counted_qr(*args, **kwargs):
+            if calls and calls[-1][1] is None:
+                calls[-1][0] += 1
+            return qr(*args, **kwargs)
+
+        def counted_ritz(a, k, block):
+            calls.append([0, None])
+            result = ritz(a, k, block)
+            calls[-1][1] = result is not None
+            return result
+
+        monkeypatch.setattr(np.linalg, "qr", counted_qr)
+        monkeypatch.setattr(spectral, "_certified_ritz", counted_ritz)
+        for method in K_READING_METHODS:
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                got = np.ldexp(fit_method(scaled, method, k=3).theta, -490)
+            assert np.linalg.norm(got - theta[method]) <= 1e-10 * np.linalg.norm(theta[method])
+        # a block certified at sweep s took s products and s - 1 QRs
+        assert calls and all(certified and qrs + 1 < spectral.BLOCK_MAX_SWEEPS for qrs, certified in calls)
 
     def test_known_k_hetero_fit_builds_only_phi_b_by_m(self, monkeypatch):
         # HeteroPCA reads the m x m phi_B; the phi_C(j) blocks come from their cores

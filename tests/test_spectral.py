@@ -1,6 +1,7 @@
 import os
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -9,6 +10,8 @@ from conftest import assert_projector_properties, random_orthonormal
 import deconfound
 from deconfound.errors import DataError, DegenerateBasisWarning, NumericalError
 from deconfound.spectral import (
+    BLOCK_OVERSAMPLE,
+    TOP_K_MIN_WIDTHS,
     SpectrumSummary,
     build_projection,
     default_k_star,
@@ -27,8 +30,8 @@ def _spectrum(vals, source="test"):
 
 class TestTopKEigenvectors:
     def test_diagonal(self):
-        u, spectrum = top_k_eigenvectors(np.diag([3.0, 2.0, 1.0]), 2)
-        assert np.allclose(spectrum.eigenvalues, [3.0, 2.0, 1.0])
+        u, vals = top_k_eigenvectors(np.diag([3.0, 2.0, 1.0]), 2)
+        assert np.allclose(vals, [3.0, 2.0, 1.0])
         assert sin_theta(u, np.eye(3)[:, :2]) < 1e-12
 
     def test_rank_one(self):
@@ -43,9 +46,9 @@ class TestTopKEigenvectors:
         vals = np.sort(rng.uniform(1.0, 10.0, m))[::-1]
         vals[k - 1] = vals[k] + 1.0  # enforce a clear gap
         s = q @ np.diag(vals) @ q.T
-        u, spectrum = top_k_eigenvectors(s, k)
+        u, found = top_k_eigenvectors(s, k)
         assert sin_theta(u, q[:, :k]) < 1e-8
-        assert np.allclose(spectrum.eigenvalues, np.sort(vals)[::-1], atol=1e-10)
+        assert np.allclose(found, np.sort(vals)[::-1], atol=1e-10)
 
     def test_orthonormal_output(self):
         rng = np.random.default_rng(43)
@@ -243,6 +246,94 @@ class TestHeteroPCABlockIteration:
         code = (
             "import sys, numpy as np; from deconfound.spectral import hetero_pca; "
             "np.save(sys.argv[2], hetero_pca(np.load(sys.argv[1]), 3, 5))"
+        )
+        bases = []
+        for threads in ("1", "2"):
+            out = tmp_path / f"u{threads}.npy"
+            env = {**os.environ, "OPENBLAS_NUM_THREADS": threads, "OMP_NUM_THREADS": threads, "PYTHONPATH": src}
+            subprocess.run([sys.executable, "-c", code, str(tmp_path / "s.npy"), str(out)], env=env, check=True)
+            bases.append(np.load(out))
+        assert sin_theta(*bases) <= 1e-10
+
+
+def _top_k_eigh_reference(S: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
+    """Top-k eigenvectors and the whole nonincreasing spectrum from one full eigh."""
+    S = np.asarray(S, dtype=float)
+    vals, vecs = np.linalg.eigh((S + S.T) / 2.0)
+    order = np.argsort(vals)[::-1]
+    return fix_signs(vecs[:, order[:k]]), vals[order]
+
+
+def _first_certified_size(k: int) -> int:
+    return TOP_K_MIN_WIDTHS * (k + BLOCK_OVERSAMPLE)
+
+
+class TestTopKBlockIteration:
+    @pytest.mark.parametrize("k", [1, 3, 5])
+    @pytest.mark.parametrize("size", ["first certified", 500])
+    def test_matches_eigh_reference(self, monkeypatch, size, k):
+        m = _first_certified_size(k) if size == "first certified" else size
+        s = _low_rank_plus_noise(30 + k, m, [90.0, 70.0, 55.0, 45.0, 38.0, 32.0])
+        ref, ref_vals = _top_k_eigh_reference(s, k)
+        shapes = _recording_eigh(monkeypatch)
+        got, vals = top_k_eigenvectors(s, k)
+        assert (m, m) not in shapes  # certified
+        assert got.shape == (m, k) and vals.shape == (k,)
+        assert sin_theta(got, ref) <= 1e-10
+        assert np.allclose(vals, ref_vals[:k], rtol=1e-10, atol=0.0)
+        assert np.max(np.abs(got.T @ got - np.eye(k))) < 1e-12
+
+    @pytest.mark.parametrize("k", [1, 3, 5])
+    def test_negative_largest_eigenvalue_takes_eigh(self, monkeypatch, k):
+        # the k largest |lambda| hold -90, which is not among the algebraic top k
+        m = _first_certified_size(k)
+        s = _low_rank_plus_noise(40 + k, m, [-90.0, 70.0, 55.0, 45.0, 38.0, 32.0])
+        shapes = _recording_eigh(monkeypatch)
+        got, vals = top_k_eigenvectors(s, k)
+        assert shapes.count((m, m)) == 1
+        monkeypatch.undo()
+        ref, ref_vals = _top_k_eigh_reference(s, k)
+        assert np.array_equal(got, ref) and np.array_equal(vals, ref_vals)
+
+    @pytest.mark.parametrize("tied", [6.0, -6.0])
+    def test_tie_at_k_takes_eigh(self, monkeypatch, tied):
+        # |lambda_3| = |lambda_4| = 6, so no block separates the top 3
+        m, k = 256, 3
+        assert m >= _first_certified_size(k)
+        u = _hadamard_columns(m, 4)
+        s = u @ np.diag([10.0, 8.0, 6.0, tied]) @ u.T
+        shapes = _recording_eigh(monkeypatch)
+        got, vals = top_k_eigenvectors(s, k)
+        assert shapes.count((m, m)) == 1
+        monkeypatch.undo()
+        ref, ref_vals = _top_k_eigh_reference(s, k)
+        assert np.array_equal(got, ref) and np.array_equal(vals, ref_vals)
+
+    @pytest.mark.parametrize("k", [1, 3, 5])
+    def test_below_the_size_rule_is_eigh(self, k):
+        s = _low_rank_plus_noise(50 + k, _first_certified_size(k) - 1, [90.0, 70.0, 55.0, 45.0, 38.0, 32.0])
+        got, vals = top_k_eigenvectors(s, k)
+        ref, ref_vals = _top_k_eigh_reference(s, k)
+        assert np.array_equal(got, ref) and np.array_equal(vals, ref_vals)
+
+    def test_non_finite_product_is_refused_at_once(self, monkeypatch):
+        # finite, but its block products overflow: no sweep can be certified
+        a = np.full((208, 208), 0.5e308)
+        block = deconfound.spectral._start_block(a, 3, TOP_K_MIN_WIDTHS)
+        qrs = []
+        qr = np.linalg.qr
+        monkeypatch.setattr(np.linalg, "qr", lambda *args: qrs.append(1) or qr(*args))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert deconfound.spectral._certified_ritz(a, 3, block) is None
+        assert not qrs
+
+    def test_independent_of_the_blas_thread_count(self, tmp_path):
+        np.save(tmp_path / "s.npy", _low_rank_plus_noise(92, 500, [60.0, 45.0, 30.0]))
+        src = os.path.dirname(os.path.dirname(deconfound.__file__))
+        code = (
+            "import sys, numpy as np; from deconfound.spectral import top_k_eigenvectors; "
+            "np.save(sys.argv[2], top_k_eigenvectors(np.load(sys.argv[1]), 3)[0])"
         )
         bases = []
         for threads in ("1", "2"):
