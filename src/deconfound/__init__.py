@@ -57,14 +57,7 @@ from .errors import (
     NumericalError,
     RankDeficientError,
 )
-from .estimators import (
-    fit_heteroscedastic,
-    fit_homoscedastic,
-    fit_method,
-    fit_non_interaction,
-    fit_ols_baseline,
-    fit_oracle,
-)
+from .estimators import Stage, fit_method
 from .model import (
     METHODS,
     Dataset,

@@ -19,6 +19,7 @@ import numpy as np
 
 from . import estimators, io, spectral
 from .errors import DataError, DeconfoundError, DimensionMismatchError
+from .estimators import _check_positive
 from .model import METHODS, Dataset, DebiasedEstimate, GroundTruth, SimulationConfig
 from .simulate import DEFAULT_N_TEST, generate, split_statistics
 
@@ -105,14 +106,6 @@ def _check_methods(methods) -> None:
             raise DataError(f"methods list repeats the tag {method!r}")
 
 
-def _check_positive(value: int | None, name: str, *, optional: bool = False) -> None:
-    """DataError unless value is a positive integer, or None where optional."""
-    if value is None and optional:
-        return
-    if not isinstance(value, (int, np.integer)) or value < 1:
-        raise DataError(f"{name} must be a positive integer, got {value}")
-
-
 def _check_k_star(k_star: int | None, m: int) -> None:
     """DataError unless k_star is None or below m: the selector reads m eigenvalues per surface."""
     if k_star is not None and k_star >= m:
@@ -145,7 +138,7 @@ class ExperimentGrid:
         _check_positive(self.k_star, "k_star", optional=True)
         if self.k_policy == "selected":
             _check_k_star(self.k_star, self.base.m)
-        estimators._check_n_iter(self.n_iter)
+        _check_positive(self.n_iter, "n_iter")
         _check_positive(self.n_star, "n_star")
 
     def config_for(self, value: float, rep: int) -> SimulationConfig:
@@ -239,7 +232,7 @@ def _aggregate(sweep_param: str, records: list[CellResult], grid: ExperimentGrid
 
 def select_k_hat(dataset: Dataset, selector: str, k_star: int) -> int:
     """Rank estimate for one dataset under the given selector family."""
-    with closing(estimators._Stage(dataset)) as stage:
+    with closing(estimators.Stage(dataset)) as stage:
         return stage.select_k(selector, k_star)
 
 
@@ -256,18 +249,18 @@ def _run_dataset(
     _check_positive(k_star, "k_star", optional=True)
     if k is None:
         _check_k_star(k_star, dataset.m)
-    estimators._check_n_iter(n_iter)
+    _check_positive(n_iter, "n_iter")
     if k_star is None:
         k_star = spectral.default_k_star(dataset.n, dataset.m)
     outcomes = []
-    with closing(estimators._Stage(dataset)) as stage:
+    with closing(estimators.Stage(dataset)) as stage:
         for method in methods:
             reads_k = method not in ("ols", "oracle")
             k_used = k if reads_k else None
             try:
                 if reads_k and k is None:
                     k_used = stage.select_k(estimators._family(method), k_star)
-                est = estimators._fit(stage, method, k_used, n_iter, truth)
+                est = stage.fit(method, k=k_used, n_iter=n_iter, truth=truth)
                 outcomes.append((est, est.k_used))
             except (DeconfoundError, np.linalg.LinAlgError) as err:
                 # a fresh error: the raised one's traceback would keep the stage and the dataset alive
@@ -351,7 +344,7 @@ def _run_k_selection_cell(args: tuple[SimulationConfig, int, int]) -> list[KSele
     config, rep, k_star = args
     dataset, _ = generate(config)
     out = []
-    with closing(estimators._Stage(dataset)) as stage:
+    with closing(estimators.Stage(dataset)) as stage:
         for selector in SELECTORS:
             try:
                 out.append(KSelectionRecord(config.sigma_w, rep, selector, stage.select_k(selector, k_star)))

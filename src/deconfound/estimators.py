@@ -1,7 +1,9 @@
 """End-to-end estimator pipelines and the baselines they are compared to.
 
-Every estimator returns a DebiasedEstimate tagged with its method name.
-Pipeline failures carry the algorithm step (1-5) at which they occurred.
+A Stage runs every method and selector on one dataset, sharing the steps
+they have in common; fit_method is its one-shot form. Every estimate is a
+DebiasedEstimate tagged with its method name. Pipeline failures carry
+the algorithm step (1-5) at which they occurred.
 """
 
 from __future__ import annotations
@@ -12,7 +14,7 @@ import numpy as np
 
 from . import regress, spectral
 from .errors import DataError, DeconfoundError, DimensionMismatchError, NumericalError
-from .model import METHODS, Dataset, DebiasedEstimate, GroundTruth, ProjectionBasis, _require_finite
+from .model import METHODS, Dataset, DebiasedEstimate, GroundTruth, ProjectionBasis, _is_integer, _require_finite
 from .spectral import SpectrumSummary
 
 DEFAULT_N_ITER = 5
@@ -29,9 +31,12 @@ def _step(step: int, label: str):
         raise NumericalError(f"step {step} ({label}): {err}") from err
 
 
-def _check_n_iter(n_iter: int) -> None:
-    if n_iter < 1:
-        raise DataError(f"n_iter must be a positive integer, got {n_iter}")
+def _check_positive(value: int | None, name: str, *, optional: bool = False) -> None:
+    """DataError unless value is a positive integer, or None where optional."""
+    if value is None and optional:
+        return
+    if not _is_integer(value) or value < 1:
+        raise DataError(f"{name} must be a positive integer, got {value}")
 
 
 def _family(method: str) -> str:
@@ -39,9 +44,11 @@ def _family(method: str) -> str:
     return "interaction" if method.startswith("interaction") else "non_interaction"
 
 
-class _Stage:
-    """Steps 1-3 of one dataset, shared by the selectors and fits that read them.
+class Stage:
+    """The estimator's steps on one dataset, shared by the fits and selectors that read them.
 
+    fit(method, ...) runs one method, select_k(family, k_star) a family's
+    rank selector, and spectra(family) returns what that selector reads.
     A family is a selector name: "interaction" reads the interaction
     regression's residuals and their surfaces phi_B and phi_C(j), each a
     contraction of the residual outer products with diagonal weights;
@@ -51,8 +58,9 @@ class _Stage:
     Computes each quantity at most once, on first use: a family's
     surfaces and their top-k eigenvectors, and each family's K. A failure
     is kept and raised again to every later reader, so all of them report
-    the same step. close() drops it all, even while an escaped error's
-    traceback holds the stage.
+    the same step. close() drops it all; make a stage with
+    contextlib.closing, so that this happens even while an escaped
+    error's traceback holds the stage.
 
     At n < m every surface lies in the n-dimensional row space of its
     residuals, so top-k eigenvectors come from n x n cores (see top_k)
@@ -162,10 +170,74 @@ class _Stage:
 
     def spectra(self, family: str) -> list[SpectrumSummary]:
         """What the family's selector reads: the eigenvalues of each of its m x m surfaces."""
+        if family not in self.names:
+            raise DataError(f"unknown selector family {family!r}; known: {', '.join(self.names)}")
         return [spectral.eigen_spectrum(self.surface(family, i), name) for i, name in enumerate(self.names[family])]
 
     def select_k(self, family: str, k_star: int) -> int:
+        """The family's rank estimate: spectral.select_k over its spectra, bounded by k_star."""
         return self._once(("k", family, k_star), lambda: spectral.select_k(self.spectra(family), k_star))
+
+    def fit(
+        self, method: str, *, k: int | None = None, n_iter: int = DEFAULT_N_ITER, truth: GroundTruth | None = None
+    ) -> DebiasedEstimate:
+        """One method's estimate: its projection basis, then step 5, the projected least squares.
+
+        "ols" projects nothing. "oracle" projects out the true hidden
+        effects (oracle_basis; the benchmark floor, not available in
+        practice). "interaction_homo" projects out the top-k eigenvectors
+        of phi_B and of each phi_C(j); "interaction_hetero" takes phi_B's
+        from HeteroPCA with n_iter passes. "non_interaction_homo" and
+        "_hetero" assume no observed-hidden interaction and project out
+        the top k of the linear fit's mean residual outer product, plain
+        or through HeteroPCA. Bad arguments raise before any step runs.
+        """
+        dataset = self.dataset
+        if method not in METHODS:
+            raise DataError(f"unknown method tag {method!r}")
+        hetero = method.endswith("_hetero")
+        if method == "ols":
+            basis, k = ProjectionBasis.empty(dataset.m), None
+        elif method == "oracle":
+            if truth is None:
+                raise DataError("the oracle method requires the ground truth")
+            if truth.p != dataset.p or truth.m != dataset.m:
+                raise DimensionMismatchError(
+                    f"truth dimensions (p={truth.p}, m={truth.m}) do not match dataset "
+                    f"(p={dataset.p}, m={dataset.m})"
+                )
+            basis, k = oracle_basis(truth), truth.k
+        else:
+            if k is None:
+                raise DataError(f"method {method!r} requires k")
+            if not _is_integer(k):
+                raise DataError(f"k must be a positive integer, got {k}")
+            if hetero:
+                _check_positive(n_iter, "n_iter")
+            if k < 1:
+                raise NumericalError(f"k must be a positive integer, got {k}")
+            family = _family(method)
+            if family == "interaction" and (dataset.p + 1) * k > dataset.m:
+                raise NumericalError(f"(p+1)*K = {(dataset.p + 1) * k} exceeds m = {dataset.m}; cannot project out that many directions")
+            if family == "non_interaction":
+                if k > dataset.m:
+                    raise NumericalError(f"k = {k} exceeds m = {dataset.m}")
+                if dataset.n <= dataset.p:
+                    raise NumericalError(f"need n > p: n = {dataset.n}, p = {dataset.p}")
+            if hetero:
+                phi_b = self.surface(family, 0)
+                with _step(4, "eigenspace extraction"):
+                    u_b = spectral.hetero_pca(phi_b, k, n_iter)
+            else:
+                u_b = self.top_k(family, 0, k)
+            blocks = [u_b] + [self.top_k(family, i, k) for i in range(1, len(self.names[family]))]
+            if len(blocks) == 1:
+                basis = ProjectionBasis(U=u_b)
+            else:
+                with _step(4, "eigenspace extraction"):
+                    basis = spectral.build_projection(blocks)
+        with _step(5, "projected least squares"):
+            return regress.fit_projected_ols(dataset, basis, method=method, k_used=k, t_used=n_iter if hetero else None)
 
 
 def _linear_residuals(dataset: Dataset) -> np.ndarray:
@@ -173,30 +245,6 @@ def _linear_residuals(dataset: Dataset) -> np.ndarray:
     with _step(1, "linear regression"):
         theta_lin = regress.least_squares(dataset.X, dataset.Y)
     return dataset.Y - dataset.X @ theta_lin
-
-
-def fit_homoscedastic(dataset: Dataset, k: int) -> DebiasedEstimate:
-    """Interaction-aware debiased estimator for homoscedastic noise.
-
-    Chains the interaction regression, the residual-covariance
-    regression, per-surface eigenvector extraction, projection-basis
-    construction and the projected least-squares solve.
-    """
-    return fit_method(dataset, "interaction_homo", k=k)
-
-
-def fit_heteroscedastic(dataset: Dataset, k: int, n_iter: int = DEFAULT_N_ITER) -> DebiasedEstimate:
-    """Interaction-aware debiased estimator for heteroscedastic noise.
-
-    Identical to fit_homoscedastic except the B-block eigenvectors come
-    from the diagonal-imputation iteration with n_iter passes.
-    """
-    return fit_method(dataset, "interaction_hetero", k=k, n_iter=n_iter)
-
-
-def fit_ols_baseline(dataset: Dataset) -> DebiasedEstimate:
-    """Plain least squares of Y on X, ignoring hidden variables: the empty projection."""
-    return fit_method(dataset, "ols")
 
 
 def oracle_basis(truth: GroundTruth) -> ProjectionBasis:
@@ -209,99 +257,9 @@ def oracle_basis(truth: GroundTruth) -> ProjectionBasis:
     return spectral.build_projection([truth.stacked_hidden_effects().T])
 
 
-def fit_oracle(dataset: Dataset, truth: GroundTruth) -> DebiasedEstimate:
-    """Projected estimator using the true hidden-effect matrices.
-
-    Not available in practice; serves as the benchmark floor.
-    """
-    return fit_method(dataset, "oracle", truth=truth)
-
-
-def fit_non_interaction(
-    dataset: Dataset, k: int, variant: str = "homo", n_iter: int = DEFAULT_N_ITER
-) -> DebiasedEstimate:
-    """Debiased estimator that assumes no observed-hidden interaction.
-
-    Regresses Y on X linearly, averages the residual outer products into
-    a single covariance surface, extracts its leading k-dimensional
-    eigenspace (plain or diagonal-imputed by variant) and solves the
-    projected regression with r = k.
-    """
-    return fit_method(dataset, f"non_interaction_{variant}", k=k, n_iter=n_iter)
-
-
-def interaction_spectra(dataset: Dataset) -> list[SpectrumSummary]:
-    """Spectra of the p+1 interaction-model covariance surfaces.
-
-    Used by the rank selector: one spectrum for the intercept surface
-    and one per diagonal-pair interaction surface.
-    """
-    with closing(_Stage(dataset)) as stage:
-        return stage.spectra("interaction")
-
-
-def non_interaction_spectrum(dataset: Dataset) -> SpectrumSummary:
-    """Spectrum of the averaged residual outer product of the linear fit."""
-    with closing(_Stage(dataset)) as stage:
-        return stage.spectra("non_interaction")[0]
-
-
 def fit_method(
-    dataset: Dataset,
-    method: str,
-    *,
-    k: int | None = None,
-    n_iter: int = DEFAULT_N_ITER,
-    truth: GroundTruth | None = None,
+    dataset: Dataset, method: str, *, k: int | None = None, n_iter: int = DEFAULT_N_ITER, truth: GroundTruth | None = None
 ) -> DebiasedEstimate:
-    """Dispatch a method tag to the matching estimator."""
-    with closing(_Stage(dataset)) as stage:
-        return _fit(stage, method, k, n_iter, truth)
-
-
-def _fit(stage: _Stage, method: str, k: int | None, n_iter: int | None, truth: GroundTruth | None) -> DebiasedEstimate:
-    """Every estimator, on a stage that other methods and selectors may share: resolve a basis, then step 5."""
-    dataset = stage.dataset
-    if method not in METHODS:
-        raise DataError(f"unknown method tag {method!r}")
-    hetero = method.endswith("_hetero")
-    if method == "ols":
-        basis, k = ProjectionBasis.empty(dataset.m), None
-    elif method == "oracle":
-        if truth is None:
-            raise DataError("the oracle method requires the ground truth")
-        if truth.p != dataset.p or truth.m != dataset.m:
-            raise DimensionMismatchError(
-                f"truth dimensions (p={truth.p}, m={truth.m}) do not match dataset "
-                f"(p={dataset.p}, m={dataset.m})"
-            )
-        basis, k = oracle_basis(truth), truth.k
-    else:
-        if k is None:
-            raise DataError(f"method {method!r} requires k")
-        if hetero:
-            _check_n_iter(n_iter)
-        if k < 1:
-            raise NumericalError(f"k must be a positive integer, got {k}")
-        family = _family(method)
-        if family == "interaction" and (dataset.p + 1) * k > dataset.m:
-            raise NumericalError(f"(p+1)*K = {(dataset.p + 1) * k} exceeds m = {dataset.m}; cannot project out that many directions")
-        if family == "non_interaction":
-            if k > dataset.m:
-                raise NumericalError(f"k = {k} exceeds m = {dataset.m}")
-            if dataset.n <= dataset.p:
-                raise NumericalError(f"need n > p: n = {dataset.n}, p = {dataset.p}")
-        if hetero:
-            phi_b = stage.surface(family, 0)
-            with _step(4, "eigenspace extraction"):
-                u_b = spectral.hetero_pca(phi_b, k, n_iter)
-        else:
-            u_b = stage.top_k(family, 0, k)
-        blocks = [u_b] + [stage.top_k(family, i, k) for i in range(1, len(stage.names[family]))]
-        if len(blocks) == 1:
-            basis = ProjectionBasis(U=u_b)
-        else:
-            with _step(4, "eigenspace extraction"):
-                basis = spectral.build_projection(blocks)
-    with _step(5, "projected least squares"):
-        return regress.fit_projected_ols(dataset, basis, method=method, k_used=k, t_used=n_iter if hetero else None)
+    """One method on one dataset: Stage.fit on a stage of its own, released on return."""
+    with closing(Stage(dataset)) as stage:
+        return stage.fit(method, k=k, n_iter=n_iter, truth=truth)

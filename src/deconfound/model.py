@@ -47,6 +47,11 @@ def _require_finite(arr: np.ndarray, name: str) -> None:
         raise NonFiniteError(f"{name} has a non-finite entry at row {bad[0]}, column {bad[1]}")
 
 
+def _is_integer(value) -> bool:
+    """True for an int or numpy integer that is not a bool."""
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+
+
 def interaction_pairs(p: int) -> tuple[tuple[int, int], ...]:
     """Ordered covariate pairs (j, k), j <= k, in lexicographic order."""
     return tuple((j, k) for j in range(p) for k in range(j, p))

@@ -9,7 +9,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DataError, DegenerateBasisWarning, DimensionMismatchError, NumericalError
-from .model import ProjectionBasis
+from .model import ProjectionBasis, _is_integer
 
 #: Singular-value ratio below which a concatenated basis counts as degenerate.
 DEGENERACY_RTOL = 1e-8
@@ -248,7 +248,7 @@ def select_k(spectra: list[SpectrumSummary], k_star: int) -> int:
     returned estimate is the index with the most votes, smallest first
     on tied counts.
     """
-    if k_star < 1:
+    if not _is_integer(k_star) or k_star < 1:
         raise DataError("k_star must be a positive integer")
     if not spectra:
         raise DataError("need at least one spectrum")

@@ -12,10 +12,7 @@ from conftest import assert_projector_properties, normal_equations, random_ortho
 
 from deconfound.bench import ExperimentGrid, replicate_seed, run_grid, run_k_selection
 from deconfound.cli import main
-from deconfound.estimators import (
-    fit_homoscedastic,
-    oracle_basis,
-)
+from deconfound.estimators import fit_method, oracle_basis
 from deconfound.model import (
     GroundTruth,
     ProjectionBasis,
@@ -170,7 +167,7 @@ def test_criterion_06_rate_check():
             seed = replicate_seed(731, "n", float(n), r)
             cfg = SimulationConfig(n=n, m=500, p=1, k=2, eta_dep=3.0, sigma_w=0.4, seed=seed)
             ds, truth = generate(cfg)
-            est = fit_homoscedastic(ds, 2)
+            est = fit_method(ds, "interaction_homo", k=2)
             vals.append(np.sum((est.theta - truth.A) ** 2) / truth.m)
         return float(np.mean(vals))
 

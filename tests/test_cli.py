@@ -261,7 +261,7 @@ class TestBadSweepValues:
         calls = []
         monkeypatch.setattr(bench, "_run_bundle", lambda job: calls.append(job))
         monkeypatch.setattr(bench, "_run_k_selection_cell", lambda job: calls.append(job))
-        monkeypatch.setattr(bench.estimators, "_Stage", lambda dataset: calls.append(dataset))
+        monkeypatch.setattr(bench.estimators, "Stage", lambda dataset: calls.append(dataset))
         out = tmp_path / "out"
         assert main(args + ["--out", str(out)]) == 2
         assert calls == [] and not out.exists()

@@ -1,5 +1,6 @@
 import gc
 import itertools
+from contextlib import closing
 import re
 import warnings
 import weakref
@@ -15,17 +16,7 @@ from deconfound.errors import (
     NumericalError,
     RankDeficientError,
 )
-from deconfound.estimators import (
-    fit_heteroscedastic,
-    fit_homoscedastic,
-    fit_method,
-    fit_non_interaction,
-    fit_ols_baseline,
-    fit_oracle,
-    interaction_spectra,
-    non_interaction_spectrum,
-    oracle_basis,
-)
+from deconfound.estimators import Stage, fit_method, oracle_basis
 from deconfound import bench, estimators, regress, spectral
 from deconfound.bench import ExperimentGrid, run_grid, select_k_hat, sse_log
 from deconfound.model import (
@@ -55,6 +46,12 @@ def stress_dataset():
     return generate(SimulationConfig(n=1000, m=500, p=2, k=3, seed=25))[0]
 
 
+def _spectra(ds, family):
+    """The family's selector spectra, from a stage of their own."""
+    with closing(Stage(ds)) as stage:
+        return stage.spectra(family)
+
+
 def _noiseless_linear(rng, n=50, p=2, m=6):
     a = rng.standard_normal((p, m))
     x = rng.standard_normal((n, p))
@@ -64,14 +61,14 @@ def _noiseless_linear(rng, n=50, p=2, m=6):
 class TestOLSBaseline:
     def test_noiseless_recovery(self):
         ds, a = _noiseless_linear(np.random.default_rng(0))
-        est = fit_ols_baseline(ds)
+        est = fit_method(ds, "ols")
         assert np.max(np.abs(est.theta - a)) < 1e-8
         assert est.method == "ols" and est.k_used is None
 
     def test_equals_projected_ols_with_empty_basis(self):
         rng = np.random.default_rng(1)
         ds = Dataset(X=rng.standard_normal((30, 2)), Y=rng.standard_normal((30, 4)))
-        est = fit_ols_baseline(ds)
+        est = fit_method(ds, "ols")
         via_projection = fit_projected_ols(ds, ProjectionBasis.empty(4))
         assert np.max(np.abs(est.theta - via_projection.theta)) < 1e-12
 
@@ -80,7 +77,7 @@ class TestOracle:
     def test_annihilates_hidden_effects(self):
         cfg = SimulationConfig(n=50, m=20, p=2, k=3, seed=3)
         ds, truth = generate(cfg)
-        est = fit_oracle(ds, truth)
+        est = fit_method(ds, "oracle", truth=truth)
         assert est.method == "oracle" and est.k_used == 3
         stacked = truth.stacked_hidden_effects()
         u, _, _ = np.linalg.svd(stacked.T, full_matrices=False)
@@ -116,7 +113,7 @@ class TestOracle:
         other_cfg = SimulationConfig(n=50, m=24, p=2, k=3, seed=4)
         _, other_truth = generate(other_cfg)
         with pytest.raises(DimensionMismatchError):
-            fit_oracle(ds, other_truth)
+            fit_method(ds, "oracle", truth=other_truth)
 
     def test_truth_constructor_rejects_mismatched_hidden_rows(self):
         rng = np.random.default_rng(5)
@@ -136,33 +133,33 @@ class TestInteractionPipelines:
         rng = np.random.default_rng(6)
         ds = Dataset(X=rng.standard_normal((100, 2)), Y=rng.standard_normal((100, 25)))
         with pytest.raises(NumericalError, match="exceeds m"):
-            fit_homoscedastic(ds, 400)
+            fit_method(ds, "interaction_homo", k=400)
         with pytest.raises(NumericalError):
-            fit_heteroscedastic(ds, 400, 5)
+            fit_method(ds, "interaction_hetero", k=400, n_iter=5)
 
     def test_k_must_be_positive(self):
         rng = np.random.default_rng(7)
         ds = Dataset(X=rng.standard_normal((100, 2)), Y=rng.standard_normal((100, 25)))
         with pytest.raises(NumericalError):
-            fit_homoscedastic(ds, 0)
+            fit_method(ds, "interaction_homo", k=0)
         with pytest.raises(NumericalError):
-            fit_non_interaction(ds, 0, "homo")
+            fit_method(ds, "non_interaction_homo", k=0)
 
     def test_stage_tagged_errors(self):
         # n large enough for stage 1 (n > 5) but not stage 3 (needs n > 6)
         rng = np.random.default_rng(8)
         ds = Dataset(X=rng.standard_normal((6, 2)), Y=rng.standard_normal((6, 25)))
         with pytest.raises(NumericalError, match=r"step 3 \(covariance regression\)"):
-            fit_homoscedastic(ds, 3)
+            fit_method(ds, "interaction_homo", k=3)
 
     def test_deterministic(self):
         cfg = SimulationConfig(n=120, m=12, p=2, k=2, seed=9)
         ds, _ = generate(cfg)
-        a = fit_homoscedastic(ds, 2)
-        b = fit_homoscedastic(ds, 2)
+        a = fit_method(ds, "interaction_homo", k=2)
+        b = fit_method(ds, "interaction_homo", k=2)
         assert np.array_equal(a.theta, b.theta)
-        c = fit_heteroscedastic(ds, 2, 5)
-        d = fit_heteroscedastic(ds, 2, 5)
+        c = fit_method(ds, "interaction_hetero", k=2, n_iter=5)
+        d = fit_method(ds, "interaction_hetero", k=2, n_iter=5)
         assert np.array_equal(c.theta, d.theta)
 
     def test_matches_manual_stage_chain(self):
@@ -170,7 +167,7 @@ class TestInteractionPipelines:
         for p in (2, 3):
             cfg = SimulationConfig(n=150, m=10, p=p, k=2, seed=10)
             ds, _ = generate(cfg)
-            est = fit_homoscedastic(ds, 2)
+            est = fit_method(ds, "interaction_homo", k=2)
             phi_b, *phi_c = read_surfaces(fit_first_stage(ds).residuals, ds.X)
             blocks = [top_k_eigenvectors(phi_b, 2)[0]]
             blocks += [top_k_eigenvectors(phi_c[j], 2)[0] for j in range(p)]
@@ -183,7 +180,7 @@ class TestInteractionPipelines:
         for p in (2, 3):
             cfg = SimulationConfig(n=150, m=10, p=p, k=2, seed=11)
             ds, _ = generate(cfg)
-            est = fit_heteroscedastic(ds, 2, 7)
+            est = fit_method(ds, "interaction_hetero", k=2, n_iter=7)
             phi_b, *phi_c = read_surfaces(fit_first_stage(ds).residuals, ds.X)
             blocks = [hetero_pca(phi_b, 2, 7)]
             blocks += [top_k_eigenvectors(phi_c[j], 2)[0] for j in range(p)]
@@ -224,7 +221,7 @@ class TestInteractionPipelines:
 
             return wrapper
 
-        rule = estimators._Stage._rule
+        rule = estimators.Stage._rule
 
         def counted_rule(stage, family, eps, which):
             calls["mean"] += family == "non_interaction"
@@ -239,7 +236,7 @@ class TestInteractionPipelines:
         monkeypatch.setattr(regress, "fit_first_stage", counted("first_stage", regress.fit_first_stage))
         monkeypatch.setattr(regress, "_contract_outer_products", counted("surfaces", regress._contract_outer_products))
         monkeypatch.setattr(estimators, "_linear_residuals", counted("linear", estimators._linear_residuals))
-        monkeypatch.setattr(estimators._Stage, "_rule", counted_rule)
+        monkeypatch.setattr(estimators.Stage, "_rule", counted_rule)
         monkeypatch.setattr(spectral, "top_k_eigenvectors", recording_top_k)
         grid = ExperimentGrid(
             base=SimulationConfig(n=300, m=10, p=2, k=2, sigma_w=1.5, seed=5),
@@ -335,9 +332,9 @@ class TestNoConfoundingReduction:
         x = rng.standard_normal((n, p)) @ np.linalg.cholesky(ar_covariance(p)).T
         y = x @ a + rng.standard_normal((n, m))
         ds = Dataset(X=x, Y=y)
-        ols = fit_ols_baseline(ds)
+        ols = fit_method(ds, "ols")
         assert np.linalg.norm(ols.theta - a) / np.linalg.norm(a) < 0.05
-        est = fit_homoscedastic(ds, k)
+        est = fit_method(ds, "interaction_homo", k=k)
         phi_b, *phi_c = read_surfaces(fit_first_stage(ds).residuals, ds.X)
         blocks = [top_k_eigenvectors(phi_b, k)[0]]
         blocks += [top_k_eigenvectors(phi_c[j], k)[0] for j in range(p)]
@@ -348,15 +345,18 @@ class TestNoConfoundingReduction:
 
 class TestNonInteraction:
     def test_variant_validation(self):
+        # the variant is the tag's suffix: only homo and hetero exist, on both entry points
         rng = np.random.default_rng(15)
         ds = Dataset(X=rng.standard_normal((50, 2)), Y=rng.standard_normal((50, 8)))
-        with pytest.raises(DataError):
-            fit_non_interaction(ds, 2, "robust")
+        with pytest.raises(DataError, match="unknown method tag 'non_interaction_robust'"):
+            fit_method(ds, "non_interaction_robust", k=2)
+        with closing(Stage(ds)) as stage, pytest.raises(DataError, match="unknown method tag 'non_interaction_robust'"):
+            stage.fit("non_interaction_robust", k=2)
 
     def test_matches_manual_chain(self):
         cfg = SimulationConfig(n=100, m=10, p=2, k=2, seed=16)
         ds, _ = generate(cfg)
-        est = fit_non_interaction(ds, 2, "homo")
+        est = fit_method(ds, "non_interaction_homo", k=2)
         theta_lin = normal_equations(ds.X, ds.Y)
         eps = ds.Y - ds.X @ theta_lin
         phi_b = (eps.T @ eps) / ds.n
@@ -424,7 +424,7 @@ class TestNonInteraction:
                     assert re.match(r"(selection failed: )?step \d \(", err), (name, k, err)
         with warnings.catch_warnings(), pytest.raises(NonFiniteError) as info:
             warnings.simplefilter("error")
-            fit_homoscedastic(Dataset(X=1e160 * ds.X, Y=ds.Y), 2)
+            fit_method(Dataset(X=1e160 * ds.X, Y=ds.Y), "interaction_homo", k=2)
         assert str(info.value) == "step 1 (interaction regression): interaction X_0 * X_0 overflows at row 0"
 
     def test_correct_specification_beats_overprojection_when_no_interactions(self):
@@ -444,9 +444,9 @@ class TestNonInteraction:
             z = x @ psi + rg.standard_normal((n, k))
             y = x @ a + z @ b + rg.standard_normal((n, m))
             ds = Dataset(X=x, Y=y)
-            sse_int.append(np.sum((fit_homoscedastic(ds, k).theta - a) ** 2))
-            sse_non.append(np.sum((fit_non_interaction(ds, k, "homo").theta - a) ** 2))
-            sse_ols.append(np.sum((fit_ols_baseline(ds).theta - a) ** 2))
+            sse_int.append(np.sum((fit_method(ds, "interaction_homo", k=k).theta - a) ** 2))
+            sse_non.append(np.sum((fit_method(ds, "non_interaction_homo", k=k).theta - a) ** 2))
+            sse_ols.append(np.sum((fit_method(ds, "ols").theta - a) ** 2))
         assert np.mean(sse_non) < np.mean(sse_int)
         assert np.mean(sse_int) < np.mean(sse_ols)
 
@@ -469,7 +469,7 @@ class TestSpectraHelpers:
         for p in (2, 3):
             cfg = SimulationConfig(n=100, m=10, p=p, k=2, seed=18)
             ds, _ = generate(cfg)
-            spectra = interaction_spectra(ds)
+            spectra = _spectra(ds, "interaction")
             assert len(spectra) == p + 1
             assert all(s.eigenvalues.size == 10 for s in spectra)
             assert spectra[0].source == "phi_B"
@@ -480,7 +480,7 @@ class TestSpectraHelpers:
     def test_non_interaction_spectrum(self):
         cfg = SimulationConfig(n=100, m=10, p=2, k=2, seed=19)
         ds, _ = generate(cfg)
-        spectrum = non_interaction_spectrum(ds)
+        spectrum = _spectra(ds, "non_interaction")[0]
         assert spectrum.eigenvalues.size == 10
         assert np.all(np.diff(spectrum.eigenvalues) <= 0)
 
@@ -661,14 +661,14 @@ class TestRowSpaceCore:
     @pytest.mark.parametrize("p", [2, 3])
     def test_selector_spectra_stay_those_of_the_m_by_m_surfaces(self, p):
         ds, _ = generate(SimulationConfig(n=40, m=60, p=p, k=3, seed=23))
-        for spectrum, surface in zip(interaction_spectra(ds), self._surfaces(ds)):
+        for spectrum, surface in zip(_spectra(ds, "interaction"), self._surfaces(ds)):
             assert np.array_equal(spectrum.eigenvalues, eigen_spectrum(surface, "ref").eigenvalues)
-        assert np.array_equal(non_interaction_spectrum(ds).eigenvalues, eigen_spectrum(self._mean(ds), "ref").eigenvalues)
+        assert np.array_equal(_spectra(ds, "non_interaction")[0].eigenvalues, eigen_spectrum(self._mean(ds), "ref").eigenvalues)
 
     def test_one_first_stage_per_dataset_and_cores_released(self, monkeypatch):
         ds, truth = generate(SimulationConfig(n=40, m=60, p=2, k=3, seed=24))
         calls, refs, stages = [], [], []
-        first, diagonal, stage_type = regress.fit_first_stage, regress.fit_diagonal_surfaces, estimators._Stage
+        first, diagonal, stage_type = regress.fit_first_stage, regress.fit_diagonal_surfaces, estimators.Stage
 
         def counted_first(*args):
             calls.append(args)
@@ -688,7 +688,7 @@ class TestRowSpaceCore:
 
         monkeypatch.setattr(regress, "fit_first_stage", counted_first)
         monkeypatch.setattr(regress, "fit_diagonal_surfaces", tracked_cores)
-        monkeypatch.setattr(estimators, "_Stage", kept_stage)
+        monkeypatch.setattr(estimators, "Stage", kept_stage)
         gc.disable()
         try:
             outcomes = bench._run_dataset(ds, METHODS, k=3, k_star=None, n_iter=5, truth=truth)
@@ -712,6 +712,11 @@ class TestFitMethodDispatch:
         ds = Dataset(X=rng.standard_normal((50, 2)), Y=rng.standard_normal((50, 8)))
         with pytest.raises(DataError):
             fit_method(ds, "interaction_homo")
+        # a k that is not an integer is a data error before any step; k = 0 is test_k_must_be_positive's
+        for k in (2.5, 2.0, True):
+            with pytest.raises(DataError, match="k must be a positive integer") as info:
+                fit_method(ds, "interaction_homo", k=k)
+            assert "step" not in str(info.value)
 
     def test_requires_truth_for_oracle(self):
         rng = np.random.default_rng(21)
@@ -724,13 +729,44 @@ class TestFitMethodDispatch:
         ds = Dataset(X=rng.standard_normal((50, 2)), Y=rng.standard_normal((50, 8)))
         with pytest.raises(DataError):
             fit_method(ds, "lasso", k=1)
+        # the selectors' families and bounds
+        with pytest.raises(DataError, match="unknown selector family 'bogus'; known: interaction, non_interaction"):
+            select_k_hat(ds, "bogus", 3)
+        with closing(Stage(ds)) as stage, pytest.raises(DataError, match="unknown selector family"):
+            stage.spectra("bogus")
+        with pytest.raises(DataError, match="k_star must be a positive integer"):
+            select_k_hat(ds, "interaction", 2.5)
 
     @pytest.mark.parametrize("method", ["interaction_hetero", "non_interaction_hetero"])
     def test_invalid_n_iter_rejected_before_any_step(self, method):
         # an all-zero design fails step 1, so a DataError here means the
         # iteration count was checked before the pipeline started
         ds = Dataset(X=np.zeros((50, 2)), Y=np.random.default_rng(23).standard_normal((50, 8)))
-        for n_iter in (0, -1):
+        for n_iter in (0, -1, 2.5):
             with pytest.raises(DataError, match="n_iter must be a positive integer") as info:
                 fit_method(ds, method, k=2, n_iter=n_iter)
             assert "step" not in str(info.value)
+
+
+class TestStage:
+    def test_one_stage_serves_the_selector_spectra_and_every_method(self, monkeypatch):
+        ds, truth = generate(SimulationConfig(n=1000, m=25, p=2, k=3, eta_dep=0.5, seed=42))
+        k_hat = select_k_hat(ds, "interaction", 8)
+        alone = {method: fit_method(ds, method, k=k_hat, truth=truth).theta for method in METHODS}
+        calls = []
+        first = regress.fit_first_stage
+
+        def counted_first(*args):
+            calls.append(args)
+            return first(*args)
+
+        monkeypatch.setattr(regress, "fit_first_stage", counted_first)
+        stage = Stage(ds)
+        k = stage.select_k("interaction", 8)
+        assert k == k_hat == 3
+        assert [s.source for s in stage.spectra("interaction")] == ["phi_B", "phi_C[0]", "phi_C[1]"]
+        for method in METHODS:
+            assert np.array_equal(stage.fit(method, k=k, truth=truth).theta, alone[method]), method
+        assert len(calls) == 1
+        stage.close()
+        assert stage._memo == {}

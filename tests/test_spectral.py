@@ -422,6 +422,11 @@ class TestSelectK:
         with pytest.raises(DataError):
             select_k([_spectrum([3.0, 2.0])], 2)
 
+    @pytest.mark.parametrize("k_star", [0, 2.5, True])
+    def test_k_star_must_be_a_positive_integer(self, k_star):
+        with pytest.raises(DataError, match="k_star must be a positive integer"):
+            select_k([_spectrum([100.0, 50.0, 25.0, 1.0])], k_star)
+
     def test_default_k_star(self):
         assert default_k_star(1000, 500) == 250
         assert default_k_star(100, 25) == 12
