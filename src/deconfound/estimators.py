@@ -63,12 +63,16 @@ class Stage:
     error's traceback holds the stage.
 
     At n < m every surface lies in the n-dimensional row space of its
-    residuals, so top-k eigenvectors come from n x n cores (see top_k)
-    and an m x m surface is built only when the selector, HeteroPCA or
-    the fallback reads it. Above the block iteration's size rule a K-known
-    fit takes a full eigh only of a surface or core whose top k that
-    iteration does not certify (see top_k); only the selector reads whole
-    spectra.
+    residuals. Above the block iteration's size rule, HeteroPCA (both
+    families) and the non-interaction top-k block iterate on V -> eps^T
+    (w o (eps V)) (see _operator): no m x m surface and no QR of the
+    residuals. Whatever that does not certify runs from scratch as below,
+    where top-k eigenvectors come from n x n cores (see top_k; phi_B's and
+    phi_C(j)'s always do, their top |lambda| holding negative values) and an
+    m x m surface is built only when the selector, HeteroPCA or the
+    fallback reads it. Above the size rule a K-known fit takes a full eigh
+    only of a surface or core whose top k the block iteration does not
+    certify; only the selector reads whole spectra.
     """
 
     def __init__(self, dataset: Dataset):
@@ -142,20 +146,45 @@ class Stage:
 
         return self._once(("cores", family), factor)
 
+    def _operator(self, family: str, k: int, min_widths: int):
+        """(V -> S V, diag S) for the family's surface 0, S = eps^T diag(w) eps, from the kept residuals and weight row.
+
+        None at n >= m, below the size rule m >= min_widths * (k +
+        BLOCK_OVERSAMPLE), and unless n m ||w||_1 max|eps|^2, a bound on
+        every sum that S, its core or a product forms, is below 2^1022.
+        """
+        n, m = self.dataset.n, self.dataset.m
+        if not self.factored or m < min_widths * (k + spectral.BLOCK_OVERSAMPLE):
+            return None
+        eps = self._residuals(family)
+        with _step(3, "covariance regression"):
+            w = np.full(n, 1.0 / n) if family == "non_interaction" else self._shared("weights", lambda: regress.diagonal_weights(self.dataset.X))[0]
+        if not np.max(np.abs(eps)) < np.sqrt(2.0**1022 / (n * m * np.abs(w).sum())):
+            return None
+        return (lambda v: eps.T @ (w[:, None] * (eps @ v))), w @ np.square(eps)
+
     def top_k(self, family: str, i: int, k: int) -> np.ndarray:
         """Top-k eigenvectors of the family's surface i. Raises step-4 errors.
 
         Each block is spectral.top_k_eigenvectors': certified by the block
-        iteration above its size rule, else one full eigh. At n < m they
-        are the core's, mapped by Q, when the core's k-th eigenvalue is
-        positive beyond round-off (SV_RTOL of its largest |eigenvalue|,
-        which is the first certified Ritz value when the block iteration
-        certified the core, and the full spectrum's otherwise). Otherwise
-        the surface's top k reach its null space, and they come from the
-        m x m surface as at n >= m.
+        iteration above its size rule, else one full eigh. The non-interaction
+        block is first tried on _operator (positive semidefinite, so its top
+        |lambda| are its top k) and kept when certified with its k-th value
+        above SV_RTOL of the first. Otherwise, at n < m, they are the core's,
+        mapped by Q, when the core's k-th eigenvalue is positive beyond
+        round-off (SV_RTOL of its largest |eigenvalue|, which is the first
+        certified Ritz value when the block iteration certified the core, and
+        the full spectrum's otherwise). Otherwise the surface's top k reach
+        its null space, and they come from the m x m surface as at n >= m.
         """
 
         def compute():
+            operator = family == "non_interaction" and self._operator(family, k, spectral.TOP_K_MIN_WIDTHS)
+            if operator:
+                with _step(4, "eigenspace extraction"):
+                    found = spectral.certified_top_k(operator[0], self.dataset.m, k)
+                if found is not None and found[1][k - 1] > regress.SV_RTOL * found[1][0]:
+                    return found[0]
             if self.factored and k <= self.dataset.n:
                 q, cores = self._cores(family)
                 with _step(4, "eigenspace extraction"):
@@ -225,9 +254,13 @@ class Stage:
                 if dataset.n <= dataset.p:
                     raise NumericalError(f"need n > p: n = {dataset.n}, p = {dataset.p}")
             if hetero:
-                phi_b = self.surface(family, 0)
+                operator = self._operator(family, k, spectral.BLOCK_MIN_WIDTHS)
                 with _step(4, "eigenspace extraction"):
-                    u_b = spectral.hetero_pca(phi_b, k, n_iter)
+                    u_b = operator and spectral.certified_hetero_pca(*operator, k, n_iter)
+                if u_b is None:
+                    phi_b = self.surface(family, 0)
+                    with _step(4, "eigenspace extraction"):
+                        u_b = spectral.hetero_pca(phi_b, k, n_iter)
             else:
                 u_b = self.top_k(family, 0, k)
             blocks = [u_b] + [self.top_k(family, i, k) for i in range(1, len(self.names[family]))]

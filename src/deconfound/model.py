@@ -42,7 +42,7 @@ def _freeze(a: np.ndarray, name: str, ndim: int = 2) -> np.ndarray:
 
 
 def _require_finite(arr: np.ndarray, name: str) -> None:
-    if not np.all(np.isfinite(arr)):
+    if not np.isfinite(arr).all():
         bad = np.argwhere(~np.isfinite(np.atleast_2d(arr)))[0]
         raise NonFiniteError(f"{name} has a non-finite entry at row {bad[0]}, column {bad[1]}")
 

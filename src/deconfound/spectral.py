@@ -8,8 +8,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DataError, DegenerateBasisWarning, DimensionMismatchError, NumericalError
-from .model import ProjectionBasis, _is_integer
+from .errors import DataError, DegenerateBasisWarning, DimensionMismatchError, NonFiniteError, NumericalError
+from .model import ProjectionBasis, _is_integer, _require_finite
 
 #: Singular-value ratio below which a concatenated basis counts as degenerate.
 DEGENERACY_RTOL = 1e-8
@@ -19,23 +19,18 @@ BLOCK_OVERSAMPLE = 10
 #: Smallest m, in block widths k + BLOCK_OVERSAMPLE, at which HeteroPCA's block iteration replaces eigh
 #: (it breaks even with a 5-step eigh loop at about 7 widths for k = 1 and 3, and 9 for k = 5).
 BLOCK_MIN_WIDTHS = 8
-#: The same size rule for one top-k block (top_k_eigenvectors). That block starts cold from the
-#: fixed Gaussian block, not warm from a previous HeteroPCA step, and replaces one eigh, not a
-#: loop of them, so it needs more widths to pay off. Block iteration time over eigh time on
-#: n = 1000 interaction surfaces of true rank k, 2 seeds x 3 surfaces, all certified (2 vCPUs,
-#: OpenBLAS 0.3.31, 2 threads):
-#:     widths    k = 1        k = 3        k = 5
-#:     8         0.01-1.58    0.85-1.22    1.07-1.25
-#:     12        0.48-0.79    0.49-0.65    0.53-0.67
-#:     16        0.33-0.39    0.33-0.52    0.41-0.55
-#:     20        0.19-0.37    0.23-0.42    0.29-0.46
-#: Break-even is near 10 widths; 16 leaves room for a refused block, whose sweeps are spent
-#: before its eigh fallback (1.3-2.3x one eigh at m = 500).
+#: The same size rule for one top-k block (top_k_eigenvectors), which starts cold and replaces one
+#: eigh, not a loop of them. Its time over one eigh's on n = 1000 interaction surfaces of true rank
+#: k = 1, 3, 5, all certified (2 vCPUs, OpenBLAS 0.3.31, 2 threads; per-k table in CHANGES.md):
+#: 0.01-1.58 at 8 widths, 0.48-0.79 at 12, 0.33-0.55 at 16, 0.19-0.46 at 20. Break-even is near
+#: 10 widths; 16 leaves room for a refused block, which stops at about 1.1-1.2x one eigh at m = 500.
 TOP_K_MIN_WIDTHS = 16
 #: Davis-Kahan sin-theta bound a block step must certify to be accepted.
 BLOCK_TOL = 1e-12
 #: Sweeps a block may take before it falls back to eigh.
 BLOCK_MAX_SWEEPS = 60
+#: Sweeps over which a block's relative residual must halve; one that does not is refused at once.
+BLOCK_STALL_SWEEPS = 4
 
 
 @dataclass(frozen=True)
@@ -49,6 +44,8 @@ class SpectrumSummary:
         vals = np.array(self.eigenvalues, dtype=float)
         if vals.ndim != 1:
             raise DimensionMismatchError("eigenvalues must be a 1-d array")
+        if not np.isfinite(vals).all():
+            raise NonFiniteError(f"spectrum {self.source!r} has a non-finite eigenvalue")
         if vals.size > 1 and np.any(np.diff(vals) > 0):
             raise DataError("eigenvalues must be sorted nonincreasing")
         vals.setflags(write=False)
@@ -66,10 +63,17 @@ def fix_signs(U: np.ndarray, tol: float = 1e-12) -> np.ndarray:
     return U
 
 
-def _as_symmetric(S: np.ndarray) -> np.ndarray:
+def _as_symmetric(S: np.ndarray, k=None) -> np.ndarray:
+    """(S + S^T) / 2 of a square S; with k, also the checks of top_k_eigenvectors and hetero_pca."""
     S = np.asarray(S, dtype=float)
     if S.ndim != 2 or S.shape[0] != S.shape[1]:
         raise DimensionMismatchError(f"matrix must be square, got shape {S.shape}")
+    if k is not None:
+        if not _is_integer(k):
+            raise DataError(f"k must be an integer, got {k!r}")
+        if not 1 <= k <= S.shape[0]:
+            raise NumericalError(f"k must satisfy 1 <= k <= m = {S.shape[0]}, got {k}")
+        _require_finite(S, "S")
     return (S + S.T) / 2.0
 
 
@@ -91,13 +95,23 @@ def top_k_eigenvectors(S: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
     algebraic top k; otherwise all m of them from one full eigh (for
     example on a tie at k, or when the largest |lambda| is negative). In
     both cases the largest |value| returned is the largest |lambda| of S.
+    A non-integer k is a DataError, a non-finite S a NonFiniteError.
     """
-    sym = _as_symmetric(S)
-    m = sym.shape[0]
-    if not 1 <= k <= m:
-        raise NumericalError(f"k must satisfy 1 <= k <= m = {m}, got {k}")
-    vals, vecs, _ = _top_k_pairs(sym, k, _start_block(sym, k, TOP_K_MIN_WIDTHS), by_magnitude=False)
+    sym = _as_symmetric(S, k)
+    vals, vecs, _ = _top_k_pairs(sym, k, _start_block(sym.shape[0], k, TOP_K_MIN_WIDTHS), by_magnitude=False)
     return fix_signs(vecs), vals
+
+
+def certified_top_k(product, m: int, k: int) -> tuple[np.ndarray, np.ndarray] | None:
+    """top_k_eigenvectors' block iteration for an m x m S given only as its product V -> S V.
+
+    None below its size rule, or unless it certifies k positive values.
+    """
+    block = _start_block(m, k, TOP_K_MIN_WIDTHS)
+    ritz = None if block is None else _certified_ritz(product, k, block, positive=True)
+    if ritz is None or not np.all(ritz[0][:k] > 0):
+        return None
+    return fix_signs(ritz[1][:, :k]), ritz[0][:k]
 
 
 def hetero_pca(S: np.ndarray, k: int, n_iter: int) -> np.ndarray:
@@ -121,16 +135,18 @@ def hetero_pca(S: np.ndarray, k: int, n_iter: int) -> np.ndarray:
     its top k to sin-theta BLOCK_TOL within BLOCK_MAX_SWEEPS sweeps (it
     cannot on a tie |lambda_k| = |lambda_k+1|). Below that size, and from
     the first step that is not certified, every step is one full eigh of
-    the iterate, ordered by |lambda|.
+    the iterate, ordered by |lambda|. certified_hetero_pca runs the same
+    steps on an S known only through its product and diagonal; at n < m
+    Stage tries it first, and runs this function on the m x m S only
+    when a step is not certified.
     """
-    current = _as_symmetric(S)
-    m = current.shape[0]
-    if not 1 <= k <= m:
-        raise NumericalError(f"k must satisfy 1 <= k <= m = {m}, got {k}")
+    current = _as_symmetric(S, k)
+    if not _is_integer(n_iter):
+        raise DataError(f"n_iter must be an integer, got {n_iter!r}")
     if n_iter < 0:
         raise DataError("n_iter must be nonnegative")
     np.fill_diagonal(current, 0.0)
-    block = _start_block(current, k, BLOCK_MIN_WIDTHS)
+    block = _start_block(current.shape[0], k, BLOCK_MIN_WIDTHS)
     for step in range(n_iter + 1):
         vals, vecs, block = _top_k_pairs(current, k, block, by_magnitude=True)
         if step < n_iter:
@@ -138,14 +154,32 @@ def hetero_pca(S: np.ndarray, k: int, n_iter: int) -> np.ndarray:
     return fix_signs(vecs)
 
 
-def _start_block(a: np.ndarray, k: int, min_widths: int) -> np.ndarray | None:
-    """The fixed-seed orthonormal m x (k + BLOCK_OVERSAMPLE) start block for a, or None.
+def certified_hetero_pca(product, diagonal: np.ndarray, k: int, n_iter: int) -> np.ndarray | None:
+    """hetero_pca's block iteration for an m x m S given only as its product V -> S V and its diagonal.
+
+    The iterate, S with its diagonal replaced by d, is V -> S V + (d - diag
+    S) o V. None below the size rule or at the first uncertified step.
+    """
+    block = _start_block(diagonal.size, k, BLOCK_MIN_WIDTHS)
+    shift = -diagonal
+    for step in range(n_iter + 1):
+        ritz = None if block is None else _certified_ritz(lambda v: product(v) + shift[:, None] * v, k, block)
+        if ritz is None:
+            return None
+        vals, block = ritz[0][:k], ritz[1]
+        if step < n_iter:
+            shift = np.square(block[:, :k]) @ vals - diagonal
+    return fix_signs(block[:, :k])
+
+
+def _start_block(m: int, k: int, min_widths: int) -> np.ndarray | None:
+    """The fixed-seed orthonormal m x (k + BLOCK_OVERSAMPLE) start block, or None.
 
     None when m < min_widths * (k + BLOCK_OVERSAMPLE), where one eigh is
-    cheaper, or when a is not finite.
+    cheaper.
     """
-    m, width = a.shape[0], k + BLOCK_OVERSAMPLE
-    if m < min_widths * width or not np.isfinite(a).all():
+    width = k + BLOCK_OVERSAMPLE
+    if m < min_widths * width:
         return None
     return np.linalg.qr(np.random.default_rng(0).standard_normal((m, width)))[0]
 
@@ -163,7 +197,7 @@ def _top_k_pairs(
     nonpositive Ritz value) they come from one full eigh of a: vals are
     all m eigenvalues, and ritz is None.
     """
-    ritz = None if block is None else _certified_ritz(a, k, block)
+    ritz = None if block is None else _certified_ritz(a.__matmul__, k, block, positive=not by_magnitude)
     if ritz is not None and (by_magnitude or np.all(ritz[0][:k] > 0)):
         theta, vecs = ritz
         return theta[:k], vecs[:, :k], vecs
@@ -172,8 +206,8 @@ def _top_k_pairs(
     return vals[order], vecs[:, order[:k]], None
 
 
-def _certified_ritz(a: np.ndarray, k: int, block: np.ndarray) -> tuple[np.ndarray, np.ndarray] | None:
-    """Ritz pairs of a from subspace iteration on the orthonormal block, by |theta| descending.
+def _certified_ritz(apply, k: int, block: np.ndarray, positive: bool = False) -> tuple[np.ndarray, np.ndarray] | None:
+    """Ritz pairs of a symmetric a, given as apply(V) = a @ V, from subspace iteration on the orthonormal block, by |theta| descending.
 
     Each sweep takes one product a @ block and the eigh of the small
     block^T a block. It returns the Ritz values and vectors U once the top
@@ -183,12 +217,16 @@ def _certified_ritz(a: np.ndarray, k: int, block: np.ndarray) -> tuple[np.ndarra
     basis of a @ block. Both sides of that test are scaled by 2^-e, with
     2^e the power of two just above |theta_1|: that is exact, and keeps
     the squares inside the norm from overflowing on a finite a near the
-    top of the double range. None after BLOCK_MAX_SWEEPS sweeps, or at
-    once when a product or a Ritz value is not finite.
+    top of the double range. None after BLOCK_MAX_SWEEPS sweeps; at once
+    when a product or a Ritz value is not finite; once that residual over
+    |theta_1| has not halved in BLOCK_STALL_SWEEPS sweeps; and, if positive
+    (the caller takes only positive values), once it is below half the gap
+    with a negative theta among the top k: that top-k space is resolved.
     """
-    with np.errstate(over="ignore", invalid="ignore"):
-        for _ in range(BLOCK_MAX_SWEEPS):
-            product = a @ block
+    relative = []
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        for sweep in range(BLOCK_MAX_SWEEPS):
+            product = apply(block)
             small = block.T @ product
             small = (small + small.T) / 2.0
             if not np.isfinite(small).all():  # as it is whenever product is not finite
@@ -199,9 +237,16 @@ def _certified_ritz(a: np.ndarray, k: int, block: np.ndarray) -> tuple[np.ndarra
             ritz = block @ y
             gap = abs(theta[k - 1]) - abs(theta[k])
             e = math.frexp(theta[0])[1]
-            residual = np.ldexp(product @ y[:, :k], -e) - ritz[:, :k] * np.ldexp(theta[:k], -e)
-            if gap > 0 and np.linalg.norm(residual) <= math.ldexp(BLOCK_TOL * gap, -e):
+            scaled = np.ldexp(theta[:k], -e)
+            residual = np.ldexp(product @ y[:, :k], -e) - ritz[:, :k] * scaled
+            norm = np.linalg.norm(residual)
+            if gap > 0 and norm <= math.ldexp(BLOCK_TOL * gap, -e):
                 return theta, ritz
+            relative.append(norm / abs(scaled[0]))
+            if sweep >= BLOCK_STALL_SWEEPS and relative[-1] > relative[-1 - BLOCK_STALL_SWEEPS] / 2:
+                return None
+            if positive and norm <= math.ldexp(gap / 2, -e) and np.any(theta[:k] < 0):
+                return None
             block = np.linalg.qr(product)[0]
     return None
 
@@ -222,6 +267,8 @@ def build_projection(blocks: list[np.ndarray]) -> ProjectionBasis:
             raise DimensionMismatchError(f"block {i} must have {m} rows, got shape {block.shape}")
     concat = np.hstack(blocks)
     r = concat.shape[1]
+    if r == 0:
+        raise DataError("blocks have no columns")
     if r > m:
         raise NumericalError(f"total basis size r = {r} exceeds m = {m}")
     u, s, _ = np.linalg.svd(concat, full_matrices=False)

@@ -452,9 +452,10 @@ class TestNonInteraction:
 
 
 class TestStepThreeFiniteness:
-    @pytest.mark.parametrize("n, m", [(60, 8), (20, 40)])
+    @pytest.mark.parametrize("n, m", [(60, 8), (20, 40), (60, 240)])
     def test_overflowing_surface_fails_under_its_name(self, n, m):
-        # outer products of 1e160-scale residuals overflow; at n < m they overflow in the n x n cores
+        # outer products of 1e160-scale residuals overflow; at n < m they overflow in the n x n cores,
+        # and at n = 60, m = 240 the residuals' product bound refuses the operator path first
         ds, _ = generate(SimulationConfig(n=n, m=m, p=2, k=1, seed=3))
         big = Dataset(X=ds.X, Y=ds.Y * 1e160)
         for method in ("interaction_homo", "interaction_hetero", "non_interaction_homo", "non_interaction_hetero"):
@@ -627,9 +628,9 @@ class TestRowSpaceCore:
                 calls[-1][0] += 1
             return qr(*args, **kwargs)
 
-        def counted_ritz(a, k, block):
+        def counted_ritz(*args, **kwargs):
             calls.append([0, None])
-            result = ritz(a, k, block)
+            result = ritz(*args, **kwargs)
             calls[-1][1] = result is not None
             return result
 
@@ -697,6 +698,131 @@ class TestRowSpaceCore:
         finally:
             gc.enable()
         assert all(k_used == 3 for _, k_used in outcomes[2:])
+
+
+class TestOperatorPath:
+    """At n < m above the size rule, HeteroPCA and the non-interaction top-k block run on V -> eps^T (w o (eps V))."""
+
+    @pytest.fixture(scope="class")
+    def dataset(self):
+        # m = 240 >= 16 * (3 + 10), the top-k block's size rule at K = 3
+        return generate(SimulationConfig(n=60, m=240, p=2, k=3, noise="heteroscedastic", alpha=6.0, seed=27))[0]
+
+    @staticmethod
+    def _outcomes(monkeypatch) -> list:
+        """Whether each operator-form call (certified_top_k, certified_hetero_pca) certified, in call order."""
+        outcomes = []
+        for name in ("certified_top_k", "certified_hetero_pca"):
+
+            def recording(*args, _original=getattr(spectral, name)):
+                result = _original(*args)
+                outcomes.append(result is not None)
+                return result
+
+            monkeypatch.setattr(spectral, name, recording)
+        return outcomes
+
+    @pytest.mark.parametrize("n_iter", [1, 5, 20])
+    def test_blocks_match_the_surfaces(self, monkeypatch, dataset, n_iter):
+        phi_b = read_surfaces(fit_first_stage(dataset).residuals, dataset.X)[0]
+        eps = dataset.Y - dataset.X @ regress.least_squares(dataset.X, dataset.Y)
+        mean = (eps.T @ eps) / dataset.n
+        blocks, bases = [], []
+        build, project = spectral.build_projection, regress.fit_projected_ols
+
+        def recording_build(parts):
+            blocks.append(parts[0])
+            return build(parts)
+
+        def recording_project(ds, basis, **kwargs):
+            bases.append(basis.U)
+            return project(ds, basis, **kwargs)
+
+        monkeypatch.setattr(spectral, "build_projection", recording_build)
+        monkeypatch.setattr(regress, "fit_projected_ols", recording_project)
+        outcomes = self._outcomes(monkeypatch)
+        fit_method(dataset, "interaction_hetero", k=3, n_iter=n_iter)
+        fit_method(dataset, "non_interaction_homo", k=3)
+        fit_method(dataset, "non_interaction_hetero", k=3, n_iter=n_iter)
+        assert outcomes == [True, True, True]
+        assert sin_theta(blocks[0], hetero_pca(phi_b, 3, n_iter)) <= 1e-10
+        assert sin_theta(bases[1], top_k_eigenvectors(mean, 3)[0]) <= 1e-10
+        assert sin_theta(bases[2], hetero_pca(mean, 3, n_iter)) <= 1e-10
+
+    def test_known_k_fits_build_no_m_by_m_array(self, monkeypatch, dataset):
+        surfaces, qrs, eighs = [], [], []
+        rule, qr, eigh = estimators.Stage._rule, np.linalg.qr, np.linalg.eigh
+
+        def recording_rule(stage, *args):
+            built = rule(stage, *args)
+            surfaces.extend(surface.shape for surface in built)
+            return built
+
+        def recording(shapes, original):
+            return lambda a, *args, **kwargs: shapes.append(np.shape(a)) or original(a, *args, **kwargs)
+
+        monkeypatch.setattr(estimators.Stage, "_rule", recording_rule)
+        monkeypatch.setattr(np.linalg, "qr", recording(qrs, qr))
+        monkeypatch.setattr(np.linalg, "eigh", recording(eighs, eigh))
+        for method in ("non_interaction_homo", "non_interaction_hetero"):
+            fit_method(dataset, method, k=3)
+        # no surface or core; every QR is of an m x (k + 10) block, every eigh a Rayleigh-Ritz one
+        assert not surfaces and set(qrs) == {(240, 13)} and set(eighs) == {(13, 13)}
+        surfaces.clear()
+        qrs.clear()
+        fit_method(dataset, "interaction_hetero", k=3)
+        # phi_B's HeteroPCA reads no surface; the phi_C(j) blocks come from the n x n cores
+        assert surfaces == [(60, 60)] * 3 and set(qrs) == {(240, 13), (240, 60)}
+
+    def test_refused_operator_runs_todays_path_bitwise(self, monkeypatch, dataset):
+        # one sweep certifies no block, so every operator-form call returns None
+        monkeypatch.setattr(spectral, "BLOCK_MAX_SWEEPS", 1)
+        outcomes = self._outcomes(monkeypatch)
+        got = {method: fit_method(dataset, method, k=3).theta for method in K_READING_METHODS}
+        assert outcomes == [False, False, False]
+        monkeypatch.setattr(estimators.Stage, "_operator", lambda *args: None)
+        for method, theta in got.items():
+            assert np.array_equal(theta, fit_method(dataset, method, k=3).theta)
+
+    def test_near_overflow_residuals_are_certified_without_warnings(self, monkeypatch, dataset):
+        theta = {method: fit_method(dataset, method, k=3).theta for method in K_READING_METHODS}
+        scaled = Dataset(X=dataset.X, Y=np.ldexp(dataset.Y, 490))
+        outcomes = self._outcomes(monkeypatch)
+        for method in K_READING_METHODS:
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                got = np.ldexp(fit_method(scaled, method, k=3).theta, -490)
+            assert np.linalg.norm(got - theta[method]) <= 1e-10 * np.linalg.norm(theta[method])
+        assert outcomes == [True, True, True]
+
+
+class TestRefusedBlocks:
+    @pytest.mark.parametrize("k", [5, 6])
+    def test_a_refused_block_stops_early(self, monkeypatch, stress_dataset, k):
+        # the top k by |lambda| of each interaction surface hold a negative
+        # eigenvalue, so no block is accepted; each used to run 10 to 52 products first
+        with closing(Stage(stress_dataset)) as stage:
+            surfaces = [stage.surface("interaction", i) for i in range(3)]
+        products = []
+        ritz = spectral._certified_ritz
+
+        def counted_ritz(apply, *args, **kwargs):
+            products.append(0)
+
+            def counted(v):
+                products[-1] += 1
+                return apply(v)
+
+            return ritz(counted, *args, **kwargs)
+
+        monkeypatch.setattr(spectral, "_certified_ritz", counted_ritz)
+        for surface in surfaces:
+            vecs, vals = top_k_eigenvectors(surface, k)
+            all_vals, all_vecs = np.linalg.eigh(surface)
+            order = np.argsort(all_vals)[::-1]
+            assert np.array_equal(vals, all_vals[order])
+            assert np.array_equal(vecs, spectral.fix_signs(all_vecs[:, order[:k]]))
+        assert len(products) == 3 and max(products) <= 5
 
 
 class TestDefaults:

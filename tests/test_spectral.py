@@ -8,7 +8,7 @@ import pytest
 from conftest import assert_projector_properties, random_orthonormal
 
 import deconfound
-from deconfound.errors import DataError, DegenerateBasisWarning, NumericalError
+from deconfound.errors import DataError, DegenerateBasisWarning, NonFiniteError, NumericalError
 from deconfound.spectral import (
     BLOCK_OVERSAMPLE,
     TOP_K_MIN_WIDTHS,
@@ -319,13 +319,13 @@ class TestTopKBlockIteration:
     def test_non_finite_product_is_refused_at_once(self, monkeypatch):
         # finite, but its block products overflow: no sweep can be certified
         a = np.full((208, 208), 0.5e308)
-        block = deconfound.spectral._start_block(a, 3, TOP_K_MIN_WIDTHS)
+        block = deconfound.spectral._start_block(208, 3, TOP_K_MIN_WIDTHS)
         qrs = []
         qr = np.linalg.qr
         monkeypatch.setattr(np.linalg, "qr", lambda *args: qrs.append(1) or qr(*args))
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            assert deconfound.spectral._certified_ritz(a, 3, block) is None
+            assert deconfound.spectral._certified_ritz(a.__matmul__, 3, block) is None
         assert not qrs
 
     def test_independent_of_the_blas_thread_count(self, tmp_path):
@@ -342,6 +342,52 @@ class TestTopKBlockIteration:
             subprocess.run([sys.executable, "-c", code, str(tmp_path / "s.npy"), str(out)], env=env, check=True)
             bases.append(np.load(out))
         assert sin_theta(*bases) <= 1e-10
+
+
+class TestArgumentChecks:
+    """The public step-4 functions reject bad arguments with a DeconfoundError."""
+
+    @pytest.mark.parametrize("k", [2.5, True, np.float64(2.0)])
+    def test_non_integer_k(self, k):
+        s = _low_rank_plus_noise(95, 12, [9.0, 6.0])
+        with pytest.raises(DataError, match="k must be an integer"):
+            top_k_eigenvectors(s, k)
+        with pytest.raises(DataError, match="k must be an integer"):
+            hetero_pca(s, k, 3)
+
+    @pytest.mark.parametrize("n_iter", [2.5, True, None])
+    def test_non_integer_n_iter(self, n_iter):
+        with pytest.raises(DataError, match="n_iter must be an integer"):
+            hetero_pca(_low_rank_plus_noise(96, 12, [9.0, 6.0]), 2, n_iter)
+
+    def test_range_errors_keep_their_texts(self):
+        with pytest.raises(NumericalError, match=r"^k must satisfy 1 <= k <= m = 3, got 0$"):
+            top_k_eigenvectors(np.eye(3), 0)
+        with pytest.raises(NumericalError, match=r"^k must satisfy 1 <= k <= m = 3, got 0$"):
+            hetero_pca(np.eye(3), 0, 1)
+        with pytest.raises(DataError, match=r"^n_iter must be nonnegative$"):
+            hetero_pca(np.eye(3), 1, -1)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("m", [12, 500])  # below and above the block iteration's size rule
+    def test_non_finite_matrix(self, bad, m):
+        s = _low_rank_plus_noise(97, m, [9.0, 6.0])
+        s[3, 5] = bad
+        with pytest.raises(NonFiniteError, match="S has a non-finite entry at row 3, column 5"):
+            top_k_eigenvectors(s, 2)
+        with pytest.raises(NonFiniteError, match="S has a non-finite entry at row 3, column 5"):
+            hetero_pca(s, 2, 3)
+
+    def test_blocks_without_columns(self):
+        with pytest.raises(DataError, match="blocks have no columns"):
+            build_projection([np.zeros((5, 0))])
+        with pytest.raises(DataError, match="blocks have no columns"):
+            build_projection([np.zeros((5, 0)), np.zeros((5, 0))])
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_spectrum(self, bad):
+        with pytest.raises(NonFiniteError, match="spectrum 'x' has a non-finite eigenvalue"):
+            select_k([SpectrumSummary(np.array([bad, 1.0, 0.5]), "x")], 1)
 
 
 class TestBuildProjection:
