@@ -20,7 +20,7 @@ import numpy as np
 from . import estimators, io, spectral
 from .errors import DataError, DeconfoundError, DimensionMismatchError
 from .estimators import _check_positive
-from .model import METHODS, Dataset, DebiasedEstimate, GroundTruth, SimulationConfig
+from .model import METHODS, Dataset, DebiasedEstimate, GroundTruth, SimulationConfig, _is_integer
 from .simulate import DEFAULT_N_TEST, generate, split_statistics
 
 SWEEP_PARAMS = ("eta_dep", "alpha", "sigma_w")
@@ -414,11 +414,13 @@ class CVReport:
 
 def fold_indices(n: int, folds: int, seed: int) -> list[np.ndarray]:
     """Deterministic fold assignment: seeded shuffle, then contiguous blocks."""
+    if not _is_integer(folds):
+        raise DataError(f"folds must be an integer, got {folds!r}")
     if folds < 2:
         raise DataError("need at least 2 folds")
     if folds > n:
         raise DataError(f"cannot split n = {n} rows into {folds} folds")
-    if not 0 <= seed < 2**64:
+    if not _is_integer(seed) or not 0 <= seed < 2**64:
         raise DataError("seed must fit in an unsigned 64-bit integer")
     rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(entropy=int(seed))))
     perm = rng.permutation(n)

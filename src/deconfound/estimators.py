@@ -63,16 +63,11 @@ class Stage:
     error's traceback holds the stage.
 
     At n < m every surface lies in the n-dimensional row space of its
-    residuals. Above the block iteration's size rule, HeteroPCA (both
-    families) and the non-interaction top-k block iterate on V -> eps^T
-    (w o (eps V)) (see _operator): no m x m surface and no QR of the
-    residuals. Whatever that does not certify runs from scratch as below,
-    where top-k eigenvectors come from n x n cores (see top_k; phi_B's and
-    phi_C(j)'s always do, their top |lambda| holding negative values) and an
-    m x m surface is built only when the selector, HeteroPCA or the
-    fallback reads it. Above the size rule a K-known fit takes a full eigh
-    only of a surface or core whose top k the block iteration does not
-    certify; only the selector reads whole spectra.
+    residuals. There HeteroPCA (both families) and the non-interaction
+    top-k block run on the product V -> eps^T (w o (eps V)) (see
+    _operator), and a surface's other top-k blocks come from its n x n
+    core (see top_k). An m x m surface is built only when the selector
+    reads it, or when a step on the product or the core is not certified.
     """
 
     def __init__(self, dataset: Dataset):
@@ -146,22 +141,23 @@ class Stage:
 
         return self._once(("cores", family), factor)
 
-    def _operator(self, family: str, k: int, min_widths: int):
+    def _operator(self, family: str):
         """(V -> S V, diag S) for the family's surface 0, S = eps^T diag(w) eps, from the kept residuals and weight row.
 
-        None at n >= m, below the size rule m >= min_widths * (k +
-        BLOCK_OVERSAMPLE), and unless n m ||w||_1 max|eps|^2, a bound on
-        every sum that S, its core or a product forms, is below 2^1022.
+        None at n >= m, and unless n m ||w||_1 max|eps|^2, a bound on every
+        sum that S, its core or a product forms, is below 2^1022.
         """
-        n, m = self.dataset.n, self.dataset.m
-        if not self.factored or m < min_widths * (k + spectral.BLOCK_OVERSAMPLE):
-            return None
-        eps = self._residuals(family)
-        with _step(3, "covariance regression"):
-            w = np.full(n, 1.0 / n) if family == "non_interaction" else self._shared("weights", lambda: regress.diagonal_weights(self.dataset.X))[0]
-        if not np.max(np.abs(eps)) < np.sqrt(2.0**1022 / (n * m * np.abs(w).sum())):
-            return None
-        return (lambda v: eps.T @ (w[:, None] * (eps @ v))), w @ np.square(eps)
+
+        def compute():
+            n, m = self.dataset.n, self.dataset.m
+            eps = self._residuals(family)
+            with _step(3, "covariance regression"):
+                w = np.full(n, 1.0 / n) if family == "non_interaction" else self._shared("weights", lambda: regress.diagonal_weights(self.dataset.X))[0]
+            if not np.max(np.abs(eps)) < np.sqrt(2.0**1022 / (n * m * np.abs(w).sum())):
+                return None
+            return (lambda v: eps.T @ (w[:, None] * (eps @ v))), w @ np.square(eps)
+
+        return self._once(("operator", family), compute) if self.factored else None
 
     def top_k(self, family: str, i: int, k: int) -> np.ndarray:
         """Top-k eigenvectors of the family's surface i. Raises step-4 errors.
@@ -179,7 +175,7 @@ class Stage:
         """
 
         def compute():
-            operator = family == "non_interaction" and self._operator(family, k, spectral.TOP_K_MIN_WIDTHS)
+            operator = family == "non_interaction" and self._operator(family)
             if operator:
                 with _step(4, "eigenspace extraction"):
                     found = spectral.certified_top_k(operator[0], self.dataset.m, k)
@@ -254,13 +250,10 @@ class Stage:
                 if dataset.n <= dataset.p:
                     raise NumericalError(f"need n > p: n = {dataset.n}, p = {dataset.p}")
             if hetero:
-                operator = self._operator(family, k, spectral.BLOCK_MIN_WIDTHS)
+                operator = self._operator(family)
+                phi_b = (lambda: self.surface(family, 0)) if operator else self.surface(family, 0)
                 with _step(4, "eigenspace extraction"):
-                    u_b = operator and spectral.certified_hetero_pca(*operator, k, n_iter)
-                if u_b is None:
-                    phi_b = self.surface(family, 0)
-                    with _step(4, "eigenspace extraction"):
-                        u_b = spectral.hetero_pca(phi_b, k, n_iter)
+                    u_b = spectral.hetero_pca(phi_b, k, n_iter, operator)
             else:
                 u_b = self.top_k(family, 0, k)
             blocks = [u_b] + [self.top_k(family, i, k) for i in range(1, len(self.names[family]))]

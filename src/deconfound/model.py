@@ -291,7 +291,7 @@ class SimulationConfig:
 
     def __post_init__(self):
         for name in ("n", "m", "p", "k"):
-            if getattr(self, name) < 1:
+            if not _is_integer(getattr(self, name)) or getattr(self, name) < 1:
                 raise DataError(f"{name} must be a positive integer")
         if (self.p + 1) * self.k > self.m:
             raise DataError(f"(p+1)*K = {(self.p + 1) * self.k} exceeds m = {self.m}")
@@ -312,7 +312,7 @@ class SimulationConfig:
             raise DataError(f"unknown noise kind {self.noise!r}")
         if self.noise == "homoscedastic" and self.alpha != 0:
             raise DataError(f"homoscedastic noise needs alpha = 0, got {self.alpha}")
-        if not 0 <= self.seed < 2**64:
+        if not _is_integer(self.seed) or not 0 <= self.seed < 2**64:
             raise DataError("seed must fit in an unsigned 64-bit integer")
         if self.second_param not in ("variance", "stddev"):
             raise DataError("second_param must be 'variance' or 'stddev'")

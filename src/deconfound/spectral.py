@@ -63,16 +63,21 @@ def fix_signs(U: np.ndarray, tol: float = 1e-12) -> np.ndarray:
     return U
 
 
+def _check_k(k, m: int) -> None:
+    """DataError unless k is an integer, NumericalError unless 1 <= k <= m."""
+    if not _is_integer(k):
+        raise DataError(f"k must be an integer, got {k!r}")
+    if not 1 <= k <= m:
+        raise NumericalError(f"k must satisfy 1 <= k <= m = {m}, got {k}")
+
+
 def _as_symmetric(S: np.ndarray, k=None) -> np.ndarray:
     """(S + S^T) / 2 of a square S; with k, also the checks of top_k_eigenvectors and hetero_pca."""
     S = np.asarray(S, dtype=float)
     if S.ndim != 2 or S.shape[0] != S.shape[1]:
         raise DimensionMismatchError(f"matrix must be square, got shape {S.shape}")
     if k is not None:
-        if not _is_integer(k):
-            raise DataError(f"k must be an integer, got {k!r}")
-        if not 1 <= k <= S.shape[0]:
-            raise NumericalError(f"k must satisfy 1 <= k <= m = {S.shape[0]}, got {k}")
+        _check_k(k, S.shape[0])
         _require_finite(S, "S")
     return (S + S.T) / 2.0
 
@@ -88,24 +93,29 @@ def top_k_eigenvectors(S: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
 
     The input is symmetrized first. Returns the m x k eigenvector matrix
     (sign-normalized) and the eigenvalues nonincreasing: the top k when
-    the block iteration (_certified_ritz, from the fixed-seed start block)
-    certifies them, which it tries on a finite input with m >=
-    TOP_K_MIN_WIDTHS * (k + BLOCK_OVERSAMPLE) and accepts only when all k
-    are positive, so that the k of largest |lambda| are also the
-    algebraic top k; otherwise all m of them from one full eigh (for
-    example on a tie at k, or when the largest |lambda| is negative). In
-    both cases the largest |value| returned is the largest |lambda| of S.
-    A non-integer k is a DataError, a non-finite S a NonFiniteError.
+    certified_top_k certifies them, otherwise all m of them from one full
+    eigh (for example below its size rule, on a tie at k, or when the
+    largest |lambda| is negative). In both cases the largest |value|
+    returned is the largest |lambda| of S. A non-integer k is a
+    DataError, a non-finite S a NonFiniteError.
     """
     sym = _as_symmetric(S, k)
-    vals, vecs, _ = _top_k_pairs(sym, k, _start_block(sym.shape[0], k, TOP_K_MIN_WIDTHS), by_magnitude=False)
-    return fix_signs(vecs), vals
+    found = certified_top_k(sym.__matmul__, sym.shape[0], k)
+    if found is not None:
+        return found
+    vals, vecs = np.linalg.eigh(sym)
+    order = np.argsort(vals)[::-1]
+    return fix_signs(vecs[:, order[:k]]), vals[order]
 
 
 def certified_top_k(product, m: int, k: int) -> tuple[np.ndarray, np.ndarray] | None:
-    """top_k_eigenvectors' block iteration for an m x m S given only as its product V -> S V.
+    """The top k of an m x m symmetric S given as its product V -> S V, from the block iteration.
 
-    None below its size rule, or unless it certifies k positive values.
+    The block iteration (_certified_ritz, from the fixed-seed start block)
+    runs when m >= TOP_K_MIN_WIDTHS * (k + BLOCK_OVERSAMPLE). Returns the
+    sign-normalized eigenvectors and the k values only when it certifies
+    k positive values, so that the k of largest |lambda| are also the
+    algebraic top k; None otherwise.
     """
     block = _start_block(m, k, TOP_K_MIN_WIDTHS)
     ritz = None if block is None else _certified_ritz(product, k, block, positive=True)
@@ -114,7 +124,7 @@ def certified_top_k(product, m: int, k: int) -> tuple[np.ndarray, np.ndarray] | 
     return fix_signs(ritz[1][:, :k]), ritz[0][:k]
 
 
-def hetero_pca(S: np.ndarray, k: int, n_iter: int) -> np.ndarray:
+def hetero_pca(S, k: int, n_iter: int, operator=None) -> np.ndarray:
     """Leading eigenspace of S with the diagonal iteratively re-imputed.
 
     Starts from S with a zeroed diagonal and alternates: take the best
@@ -126,50 +136,46 @@ def hetero_pca(S: np.ndarray, k: int, n_iter: int) -> np.ndarray:
     contamination of a low-rank target, which plain eigenvector
     extraction is not.
 
-    Each step's k eigenpairs come from a block subspace iteration
-    (_certified_ritz) of k + BLOCK_OVERSAMPLE columns when the iterate is
-    finite and m >= BLOCK_MIN_WIDTHS * (k + BLOCK_OVERSAMPLE). The first
-    block is a fixed-seed Gaussian one; each later step starts from the
-    previous step's Ritz block, since only the diagonal has changed. A
-    step is accepted only when the Davis-Kahan residual bound certifies
-    its top k to sin-theta BLOCK_TOL within BLOCK_MAX_SWEEPS sweeps (it
-    cannot on a tie |lambda_k| = |lambda_k+1|). Below that size, and from
-    the first step that is not certified, every step is one full eigh of
-    the iterate, ordered by |lambda|. certified_hetero_pca runs the same
-    steps on an S known only through its product and diagonal; at n < m
-    Stage tries it first, and runs this function on the m x m S only
-    when a step is not certified.
+    S is the m x m matrix, or, with operator = (V -> S V, diag S), a
+    function that returns it. With diagonal d, the iterate is V -> S V +
+    (d - diag S) o V. When m >= BLOCK_MIN_WIDTHS * (k + BLOCK_OVERSAMPLE),
+    each step's top k come from the block iteration (_certified_ritz)
+    on that product, started from a fixed-seed block and then from the
+    previous step's Ritz block. From the first step it does not certify
+    (it cannot on a tie |lambda_k| = |lambda_k+1|), or from step 0 below
+    that size, the m x m iterate is built once, with the current d on its
+    diagonal, and every step is one full eigh of it, ordered by |lambda|.
     """
-    current = _as_symmetric(S, k)
+    if operator is None:
+        current = _as_symmetric(S, k)
+        np.fill_diagonal(current, 0.0)
+        operator = (current.__matmul__, np.zeros(len(current)))
+    else:
+        current = None
+        _check_k(k, operator[1].size)
     if not _is_integer(n_iter):
         raise DataError(f"n_iter must be an integer, got {n_iter!r}")
     if n_iter < 0:
         raise DataError("n_iter must be nonnegative")
-    np.fill_diagonal(current, 0.0)
-    block = _start_block(current.shape[0], k, BLOCK_MIN_WIDTHS)
-    for step in range(n_iter + 1):
-        vals, vecs, block = _top_k_pairs(current, k, block, by_magnitude=True)
-        if step < n_iter:
-            np.fill_diagonal(current, np.square(vecs) @ vals[:k])
-    return fix_signs(vecs)
-
-
-def certified_hetero_pca(product, diagonal: np.ndarray, k: int, n_iter: int) -> np.ndarray | None:
-    """hetero_pca's block iteration for an m x m S given only as its product V -> S V and its diagonal.
-
-    The iterate, S with its diagonal replaced by d, is V -> S V + (d - diag
-    S) o V. None below the size rule or at the first uncertified step.
-    """
+    product, diagonal = operator
     block = _start_block(diagonal.size, k, BLOCK_MIN_WIDTHS)
-    shift = -diagonal
-    for step in range(n_iter + 1):
-        ritz = None if block is None else _certified_ritz(lambda v: product(v) + shift[:, None] * v, k, block)
-        if ritz is None:
-            return None
-        vals, block = ritz[0][:k], ritz[1]
-        if step < n_iter:
-            shift = np.square(block[:, :k]) @ vals - diagonal
-    return fix_signs(block[:, :k])
+    d = np.zeros(diagonal.size)
+    for _ in range(n_iter + 1):
+        if block is not None:
+            shift = d - diagonal
+            ritz = _certified_ritz(lambda v: product(v) + shift[:, None] * v, k, block)
+            block = None if ritz is None else ritz[1]
+        if block is None:
+            if current is None:
+                current = _as_symmetric(S(), k)
+            np.fill_diagonal(current, d)
+            vals, vecs = np.linalg.eigh(current)
+            order = np.argsort(np.abs(vals))[::-1][:k]
+            vals, vecs = vals[order], vecs[:, order]
+        else:
+            vals, vecs = ritz[0][:k], block[:, :k]
+        d = np.square(vecs) @ vals
+    return fix_signs(vecs)
 
 
 def _start_block(m: int, k: int, min_widths: int) -> np.ndarray | None:
@@ -184,28 +190,6 @@ def _start_block(m: int, k: int, min_widths: int) -> np.ndarray | None:
     return np.linalg.qr(np.random.default_rng(0).standard_normal((m, width)))[0]
 
 
-def _top_k_pairs(
-    a: np.ndarray, k: int, block: np.ndarray | None, by_magnitude: bool
-) -> tuple[np.ndarray, np.ndarray, np.ndarray | None]:
-    """(vals, vecs, ritz): a's top-k eigenvectors and nonincreasing eigenvalues, certified or from eigh.
-
-    Top means largest |lambda| when by_magnitude, else algebraically
-    largest. With a start block, they are _certified_ritz's when it
-    certifies them (and, unless by_magnitude, all k are positive): vals
-    are the k Ritz values, and ritz is the whole Ritz block, a warm start
-    for the next call. Otherwise (no block, not certified, or a
-    nonpositive Ritz value) they come from one full eigh of a: vals are
-    all m eigenvalues, and ritz is None.
-    """
-    ritz = None if block is None else _certified_ritz(a.__matmul__, k, block, positive=not by_magnitude)
-    if ritz is not None and (by_magnitude or np.all(ritz[0][:k] > 0)):
-        theta, vecs = ritz
-        return theta[:k], vecs[:, :k], vecs
-    vals, vecs = np.linalg.eigh(a)
-    order = np.argsort(np.abs(vals) if by_magnitude else vals)[::-1]
-    return vals[order], vecs[:, order[:k]], None
-
-
 def _certified_ritz(apply, k: int, block: np.ndarray, positive: bool = False) -> tuple[np.ndarray, np.ndarray] | None:
     """Ritz pairs of a symmetric a, given as apply(V) = a @ V, from subspace iteration on the orthonormal block, by |theta| descending.
 
@@ -218,10 +202,11 @@ def _certified_ritz(apply, k: int, block: np.ndarray, positive: bool = False) ->
     2^e the power of two just above |theta_1|: that is exact, and keeps
     the squares inside the norm from overflowing on a finite a near the
     top of the double range. None after BLOCK_MAX_SWEEPS sweeps; at once
-    when a product or a Ritz value is not finite; once that residual over
-    |theta_1| has not halved in BLOCK_STALL_SWEEPS sweeps; and, if positive
-    (the caller takes only positive values), once it is below half the gap
-    with a negative theta among the top k: that top-k space is resolved.
+    when a product or a Ritz value is not finite, or when theta_1 = 0; once
+    that residual over |theta_1| has not halved in BLOCK_STALL_SWEEPS
+    sweeps; and, if positive (the caller takes only positive values), once
+    it is below half the gap with a negative theta among the top k: that
+    top-k space is resolved.
     """
     relative = []
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
@@ -234,6 +219,8 @@ def _certified_ritz(apply, k: int, block: np.ndarray, positive: bool = False) ->
             theta, y = np.linalg.eigh(small)
             order = np.argsort(np.abs(theta))[::-1]
             theta, y = theta[order], y[:, order]
+            if theta[0] == 0:  # the stall rule's residual over |theta_1| would be 0 / 0
+                return None
             ritz = block @ y
             gap = abs(theta[k - 1]) - abs(theta[k])
             e = math.frexp(theta[0])[1]

@@ -345,6 +345,13 @@ class TestFoldIndices:
         with pytest.raises(DataError):
             fold_indices(5, 6, seed=0)
 
+    def test_non_integer_folds_and_seed(self):
+        for folds in (2.5, 3.0, True):
+            with pytest.raises(DataError, match=f"^folds must be an integer, got {folds!r}$"):
+                fold_indices(20, folds, seed=0)
+        with pytest.raises(DataError, match="^seed must fit in an unsigned 64-bit integer$"):
+            fold_indices(20, 3, seed=1.5)
+
 
 class TestCrossValidate:
     def test_perfect_linear_data(self):
@@ -417,6 +424,9 @@ class TestCrossValidate:
             dict(methods=["ols", "interaction_hetero"], k=2, n_iter=0),
             dict(methods=["ols", "lasso"], k=2),
             dict(methods=["ols", "interaction_homo"], k_star=0),
+            dict(methods=["ols"], folds=2.5),
+            dict(methods=["ols"], folds=True),
+            dict(methods=["ols"], seed=1.5),
         ],
     )
     def test_argument_errors_raised_before_any_fit(self, monkeypatch, overrides):
@@ -424,7 +434,7 @@ class TestCrossValidate:
         monkeypatch.setattr(regress, "fit_projected_ols", lambda *a, **kw: fits.append(a))
         ds, _ = generate(SimulationConfig(n=60, m=10, p=2, k=2, seed=18))
         with pytest.raises(DataError):
-            cross_validate(ds, folds=3, **overrides)
+            cross_validate(ds, **{"folds": 3, **overrides})
         assert fits == []
 
     def test_integer_k_is_used(self):

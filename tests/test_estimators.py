@@ -710,16 +710,29 @@ class TestOperatorPath:
 
     @staticmethod
     def _outcomes(monkeypatch) -> list:
-        """Whether each operator-form call (certified_top_k, certified_hetero_pca) certified, in call order."""
+        """Whether each operator-form call (certified_top_k, hetero_pca with an operator) certified, in call order.
+
+        A HeteroPCA chain is certified when it never builds its m x m surface.
+        """
         outcomes = []
-        for name in ("certified_top_k", "certified_hetero_pca"):
+        top_k, hetero = spectral.certified_top_k, spectral.hetero_pca
 
-            def recording(*args, _original=getattr(spectral, name)):
-                result = _original(*args)
+        def recording_top_k(product, m, k):
+            result = top_k(product, m, k)
+            if not isinstance(getattr(product, "__self__", None), np.ndarray):  # not top_k_eigenvectors' own call
                 outcomes.append(result is not None)
-                return result
+            return result
 
-            monkeypatch.setattr(spectral, name, recording)
+        def recording_hetero(S, k, n_iter, operator=None):
+            if operator is None:
+                return hetero(S, k, n_iter)
+            built = []
+            result = hetero(lambda: built.append(1) or S(), k, n_iter, operator)
+            outcomes.append(not built)
+            return result
+
+        monkeypatch.setattr(spectral, "certified_top_k", recording_top_k)
+        monkeypatch.setattr(spectral, "hetero_pca", recording_hetero)
         return outcomes
 
     @pytest.mark.parametrize("n_iter", [1, 5, 20])
@@ -783,6 +796,44 @@ class TestOperatorPath:
         monkeypatch.setattr(estimators.Stage, "_operator", lambda *args: None)
         for method, theta in got.items():
             assert np.array_equal(theta, fit_method(dataset, method, k=3).theta)
+
+    def test_a_refused_step_resumes_and_builds_phi_b_once(self, monkeypatch, dataset):
+        # phi_B's HeteroPCA certifies steps 0 and 1 and is refused at step 2; the
+        # phi_C(j) blocks come from 60 x 60 cores, below every size rule
+        calls, blocks, surfaces = [], [], []
+        ritz, build, rule = spectral._certified_ritz, spectral.build_projection, estimators.Stage._rule
+
+        def refusing(*args, **kwargs):
+            calls.append(1)
+            return ritz(*args, **kwargs) if len(calls) <= 2 else None
+
+        def recording_rule(stage, *args):
+            built = rule(stage, *args)
+            surfaces.extend(surface.shape for surface in built)
+            return built
+
+        monkeypatch.setattr(spectral, "_certified_ritz", refusing)
+        monkeypatch.setattr(spectral, "build_projection", lambda parts: blocks.append(parts[0]) or build(parts))
+        monkeypatch.setattr(estimators.Stage, "_rule", recording_rule)
+        fit_method(dataset, "interaction_hetero", k=3)
+        assert len(calls) == 3 and surfaces.count((240, 240)) == 1
+        calls.clear()
+        monkeypatch.setattr(estimators.Stage, "_operator", lambda *args: None)
+        fit_method(dataset, "interaction_hetero", k=3)
+        assert len(calls) == 3
+        assert sin_theta(blocks[0], blocks[1]) <= 1e-10
+
+    def test_a_refused_chain_leaves_the_surfaces_unchanged(self, monkeypatch, dataset):
+        monkeypatch.setattr(spectral, "BLOCK_MAX_SWEEPS", 1)
+        outcomes = self._outcomes(monkeypatch)
+        with closing(Stage(dataset)) as stage:
+            for method in ("interaction_hetero", "non_interaction_hetero"):
+                stage.fit(method, k=3)
+            spectra = {family: stage.spectra(family) for family in stage.names}
+        assert outcomes == [False, False]
+        for family, got in spectra.items():
+            for spectrum, fresh in zip(got, _spectra(dataset, family), strict=True):
+                assert np.array_equal(spectrum.eigenvalues, fresh.eigenvalues)
 
     def test_near_overflow_residuals_are_certified_without_warnings(self, monkeypatch, dataset):
         theta = {method: fit_method(dataset, method, k=3).theta for method in K_READING_METHODS}

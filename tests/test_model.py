@@ -154,6 +154,17 @@ class TestSimulationConfig:
             SimulationConfig(n=5, m=25, p=2, k=3)
         SimulationConfig(n=6, m=25, p=2, k=3)
 
+    @pytest.mark.parametrize("name, value", [("n", 60.5), ("m", 25.0), ("p", True), ("k", 2.0), ("k", np.float64(3.0))])
+    def test_non_integer_sizes(self, name, value):
+        with pytest.raises(DataError, match=f"^{name} must be a positive integer$"):
+            SimulationConfig(**{**dict(n=100, m=25, p=2, k=3), name: value})
+
+    @pytest.mark.parametrize("seed", [1.5, 1.0, True, -1, 2**64])
+    def test_seed_must_be_an_unsigned_64_bit_integer(self, seed):
+        with pytest.raises(DataError, match="^seed must fit in an unsigned 64-bit integer$"):
+            SimulationConfig(n=100, m=25, p=2, k=3, seed=seed)
+        SimulationConfig(n=100, m=25, p=2, k=3, seed=np.uint64(2**64 - 1))
+
     def test_second_param_values(self):
         with pytest.raises(DataError):
             SimulationConfig(n=100, m=25, p=2, k=3, second_param="sd")

@@ -256,6 +256,92 @@ class TestHeteroPCABlockIteration:
         assert sin_theta(*bases) <= 1e-10
 
 
+def _operator(S: np.ndarray):
+    """hetero_pca's operator form of S: (V -> S V, diag S) of the symmetrized S."""
+    sym = (S + S.T) / 2.0
+    return sym.__matmul__, np.diag(sym).copy()
+
+
+def _refusing_ritz(monkeypatch, certified: int) -> list:
+    """Make every _certified_ritz call after the first `certified` ones return None; record each call."""
+    calls = []
+    ritz = deconfound.spectral._certified_ritz
+
+    def refusing(*args, **kwargs):
+        calls.append(1)
+        return ritz(*args, **kwargs) if len(calls) <= certified else None
+
+    monkeypatch.setattr(deconfound.spectral, "_certified_ritz", refusing)
+    return calls
+
+
+class TestHeteroPCAOperatorForm:
+    """hetero_pca(S, k, n_iter, operator) with S a function that builds the m x m matrix."""
+
+    @pytest.mark.parametrize("n_iter", [0, 5])
+    def test_certified_chain_never_builds_the_matrix(self, n_iter):
+        s = _low_rank_plus_noise(130, 500, [60.0, -45.0, 30.0])
+        got = hetero_pca(lambda: pytest.fail("built the m x m matrix"), 3, n_iter, _operator(s))
+        assert sin_theta(got, _hetero_pca_eigh_reference(s, 3, n_iter)) <= 1e-10
+
+    @pytest.mark.parametrize("step", [1, 3])
+    def test_a_refused_step_resumes_on_the_iterate(self, monkeypatch, step):
+        # steps 0..step-1 are certified and step `step` is refused: it and every
+        # later step are eighs of the iterate, not a restart from step 0
+        s = _low_rank_plus_noise(131, 500, [60.0, -45.0, 30.0])
+        before = s.copy()
+        calls = _refusing_ritz(monkeypatch, step)
+        builds = []
+        got = hetero_pca(lambda: builds.append(1) or s, 3, 5, _operator(s))
+        assert len(calls) == step + 1 and builds == [1]
+        calls.clear()
+        shapes = _recording_eigh(monkeypatch)
+        dense = hetero_pca(s, 3, 5)
+        assert len(calls) == step + 1 and shapes.count((500, 500)) == 6 - step
+        assert sin_theta(got, dense) <= 1e-10
+        assert np.array_equal(s, before)
+
+    def test_below_the_size_rule_builds_the_matrix_at_step_0(self, monkeypatch):
+        s = _low_rank_plus_noise(132, 25, [20.0, -14.0, 9.0])
+        calls = _refusing_ritz(monkeypatch, 100)
+        got = hetero_pca(lambda: s, 3, 5, _operator(s))
+        assert not calls and np.array_equal(got, _hetero_pca_eigh_reference(s, 3, 5))
+
+
+class TestZeroSurfaces:
+    """A zero matrix above both size rules takes one block product, then the eigh result."""
+
+    @pytest.fixture
+    def products(self, monkeypatch):
+        products = []
+        ritz = deconfound.spectral._certified_ritz
+
+        def counted_ritz(apply, *args, **kwargs):
+            products.append(0)
+
+            def counted(v):
+                products[-1] += 1
+                return apply(v)
+
+            return ritz(counted, *args, **kwargs)
+
+        monkeypatch.setattr(deconfound.spectral, "_certified_ritz", counted_ritz)
+        return products
+
+    def test_top_k(self, products):
+        s = np.zeros((500, 500))
+        got, vals = top_k_eigenvectors(s, 3)
+        ref, ref_vals = _top_k_eigh_reference(s, 3)
+        assert products == [1]
+        assert np.array_equal(got, ref) and np.array_equal(vals, ref_vals)
+
+    def test_hetero_pca(self, products):
+        s = np.zeros((500, 500))
+        assert np.array_equal(hetero_pca(s, 3, 5), _hetero_pca_eigh_reference(s, 3, 5))
+        assert np.array_equal(hetero_pca(lambda: s, 3, 5, _operator(s)), _hetero_pca_eigh_reference(s, 3, 5))
+        assert products == [1, 1]
+
+
 def _top_k_eigh_reference(S: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
     """Top-k eigenvectors and the whole nonincreasing spectrum from one full eigh."""
     S = np.asarray(S, dtype=float)
@@ -354,19 +440,25 @@ class TestArgumentChecks:
             top_k_eigenvectors(s, k)
         with pytest.raises(DataError, match="k must be an integer"):
             hetero_pca(s, k, 3)
+        with pytest.raises(DataError, match="k must be an integer"):
+            hetero_pca(lambda: s, k, 3, _operator(s))
 
     @pytest.mark.parametrize("n_iter", [2.5, True, None])
     def test_non_integer_n_iter(self, n_iter):
+        s = _low_rank_plus_noise(96, 12, [9.0, 6.0])
         with pytest.raises(DataError, match="n_iter must be an integer"):
-            hetero_pca(_low_rank_plus_noise(96, 12, [9.0, 6.0]), 2, n_iter)
+            hetero_pca(s, 2, n_iter)
+        with pytest.raises(DataError, match="n_iter must be an integer"):
+            hetero_pca(lambda: s, 2, n_iter, _operator(s))
 
     def test_range_errors_keep_their_texts(self):
         with pytest.raises(NumericalError, match=r"^k must satisfy 1 <= k <= m = 3, got 0$"):
             top_k_eigenvectors(np.eye(3), 0)
-        with pytest.raises(NumericalError, match=r"^k must satisfy 1 <= k <= m = 3, got 0$"):
-            hetero_pca(np.eye(3), 0, 1)
-        with pytest.raises(DataError, match=r"^n_iter must be nonnegative$"):
-            hetero_pca(np.eye(3), 1, -1)
+        for S, operator in [(np.eye(3), None), (lambda: np.eye(3), _operator(np.eye(3)))]:
+            with pytest.raises(NumericalError, match=r"^k must satisfy 1 <= k <= m = 3, got 0$"):
+                hetero_pca(S, 0, 1, operator)
+            with pytest.raises(DataError, match=r"^n_iter must be nonnegative$"):
+                hetero_pca(S, 1, -1, operator)
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     @pytest.mark.parametrize("m", [12, 500])  # below and above the block iteration's size rule
