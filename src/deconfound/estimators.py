@@ -14,7 +14,7 @@ import numpy as np
 
 from . import regress, spectral
 from .errors import DataError, DeconfoundError, DimensionMismatchError, NumericalError
-from .model import METHODS, Dataset, DebiasedEstimate, GroundTruth, ProjectionBasis, _is_integer, _require_finite
+from .model import METHODS, ORTHONORMAL_TOL, Dataset, DebiasedEstimate, GroundTruth, ProjectionBasis, _is_integer, _require_finite
 from .spectral import SpectrumSummary
 
 DEFAULT_N_ITER = 5
@@ -62,12 +62,12 @@ class Stage:
     contextlib.closing, so that this happens even while an escaped
     error's traceback holds the stage.
 
-    At n < m every surface lies in the n-dimensional row space of its
-    residuals. There HeteroPCA (both families) and the non-interaction
-    top-k block run on the product V -> eps^T (w o (eps V)) (see
-    _operator), and a surface's other top-k blocks come from its n x n
-    core (see top_k). An m x m surface is built only when the selector
-    reads it, or when a step on the product or the core is not certified.
+    At n < m every surface lies in the row space of its residuals. There
+    HeteroPCA (both families) runs on the product V -> eps^T (w o (eps V))
+    (see _operator), and every other top-k block comes from an r x r core
+    of the residuals' n x n Gram (see _cores and top_k). An m x m surface
+    is built only when the selector reads it, or when a step on the
+    product or the Gram factor is not certified.
     """
 
     def __init__(self, dataset: Dataset):
@@ -132,12 +132,30 @@ class Stage:
         every = list(range(len(self.names[family])))
         return self._once(("surfaces", family), lambda: self._rule(family, self._residuals(family), every))[i]
 
-    def _cores(self, family: str) -> tuple[np.ndarray, list[np.ndarray]]:
-        """(Q, cores) with eps^T = Q R, so each surface is Q core Q^T for its rule applied to R^T."""
+    def _cores(self, family: str) -> tuple[np.ndarray, list[np.ndarray]] | None:
+        """(M, cores), each surface (eps^T M) core (eps^T M)^T, from one eigh of the n x n Gram eps eps^T = U Lambda U^T.
+
+        Keeps the r pairs with lambda >= c lambda_1, c = u / ORTHONORMAL_TOL, u =
+        2^-53, so that eps^T M, M = U_r Lambda_r^{-1/2}, is orthonormal to about u
+        lambda_1 / lambda_r <= ORTHONORMAL_TOL (Stathopoulos & Wu 2002); each r x r
+        core is the family's rule applied to the rows of U_r Lambda_r^{1/2}. None
+        unless the Gram is finite, lambda_1 is normal and every dropped |lambda|
+        is at most n 2^-52 lambda_1.
+        """
 
         def factor():
-            q, r = np.linalg.qr(self._residuals(family).T)
-            return q, self._rule(family, r.T, list(range(len(self.names[family]))))
+            eps = self._residuals(family)
+            with np.errstate(over="ignore", invalid="ignore"):
+                gram = eps @ eps.T
+            if not np.isfinite(gram).all():
+                return None
+            with _step(4, "eigenspace extraction"):
+                lam, u = np.linalg.eigh(gram)
+            top, kept = lam[-1], lam >= 2.0**-53 / ORTHONORMAL_TOL * lam[-1]
+            if not top >= np.finfo(float).tiny or np.any(np.abs(lam[~kept]) > self.dataset.n * 2.0**-52 * top):
+                return None
+            root = np.sqrt(lam[kept])
+            return u[:, kept] / root, self._rule(family, u[:, kept] * root, list(range(len(self.names[family]))))
 
         return self._once(("cores", family), factor)
 
@@ -145,7 +163,7 @@ class Stage:
         """(V -> S V, diag S) for the family's surface 0, S = eps^T diag(w) eps, from the kept residuals and weight row.
 
         None at n >= m, and unless n m ||w||_1 max|eps|^2, a bound on every
-        sum that S, its core or a product forms, is below 2^1022.
+        sum that S or a product forms, is below 2^1022.
         """
 
         def compute():
@@ -162,31 +180,22 @@ class Stage:
     def top_k(self, family: str, i: int, k: int) -> np.ndarray:
         """Top-k eigenvectors of the family's surface i. Raises step-4 errors.
 
-        Each block is spectral.top_k_eigenvectors': certified by the block
-        iteration above its size rule, else one full eigh. The non-interaction
-        block is first tried on _operator (positive semidefinite, so its top
-        |lambda| are its top k) and kept when certified with its k-th value
-        above SV_RTOL of the first. Otherwise, at n < m, they are the core's,
-        mapped by Q, when the core's k-th eigenvalue is positive beyond
-        round-off (SV_RTOL of its largest |eigenvalue|, which is the first
-        certified Ritz value when the block iteration certified the core, and
-        the full spectrum's otherwise). Otherwise the surface's top k reach
-        its null space, and they come from the m x m surface as at n >= m.
+        At n < m they are the core's top k y, mapped to eps^T M y (see
+        _cores), when the Gram factor is certified, k <= r, and the core's
+        k-th eigenvalue is positive beyond round-off (SV_RTOL of its largest
+        |eigenvalue|, the first certified Ritz value when the block iteration
+        certified the core, else the full spectrum's). Otherwise (a refused
+        factor, or top k that reach the surface's null space), and at n >= m,
+        they are spectral.top_k_eigenvectors' of the m x m surface.
         """
 
         def compute():
-            operator = family == "non_interaction" and self._operator(family)
-            if operator:
+            cores = self.factored and self._cores(family)
+            if cores and k <= cores[0].shape[1]:
                 with _step(4, "eigenspace extraction"):
-                    found = spectral.certified_top_k(operator[0], self.dataset.m, k)
-                if found is not None and found[1][k - 1] > regress.SV_RTOL * found[1][0]:
-                    return found[0]
-            if self.factored and k <= self.dataset.n:
-                q, cores = self._cores(family)
-                with _step(4, "eigenspace extraction"):
-                    v, vals = spectral.top_k_eigenvectors(cores[i], k)
+                    y, vals = spectral.top_k_eigenvectors(cores[1][i], k)
                 if vals[k - 1] > regress.SV_RTOL * np.max(np.abs(vals)):
-                    return spectral.fix_signs(q @ v)
+                    return spectral.fix_signs(self._residuals(family).T @ (cores[0] @ y))
             matrix = self.surface(family, i)
             with _step(4, "eigenspace extraction"):
                 return spectral.top_k_eigenvectors(matrix, k)[0]

@@ -73,6 +73,8 @@ class Dataset:
             )
         if self.X.shape[0] < 1:
             raise DataError("dataset needs at least one sample")
+        if self.p < 1 or self.m < 1:
+            raise DataError(f"dataset needs at least one covariate and one response: p = {self.p}, m = {self.m}")
 
     @property
     def n(self) -> int:

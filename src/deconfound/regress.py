@@ -122,8 +122,9 @@ def fit_diagonal_surfaces(eps: np.ndarray, weights: np.ndarray, which: list[int]
     With eps the n x m residuals, surface i is the m x m matrix of the
     coefficients of weight row i in the entry-by-entry regression of the
     outer products eps_i eps_i^T, without materializing the n x m(m+1)/2
-    target matrix. With eps = R^T from the reduced QR eps^T = Q R, each is
-    the min(n, m) x min(n, m) core of that surface, which is Q core Q^T.
+    target matrix. Given the rows of F = U_r Lambda_r^{1/2} instead, from
+    the residuals' Gram eps eps^T = U Lambda U^T, each is the r x r core of
+    that surface, which is (eps^T M) core (eps^T M)^T for M = U_r Lambda_r^{-1/2}.
     """
     return [_contract_outer_products(eps, weights[i]) for i in which]
 

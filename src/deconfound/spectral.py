@@ -93,35 +93,23 @@ def top_k_eigenvectors(S: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
 
     The input is symmetrized first. Returns the m x k eigenvector matrix
     (sign-normalized) and the eigenvalues nonincreasing: the top k when
-    certified_top_k certifies them, otherwise all m of them from one full
-    eigh (for example below its size rule, on a tie at k, or when the
-    largest |lambda| is negative). In both cases the largest |value|
-    returned is the largest |lambda| of S. A non-integer k is a
-    DataError, a non-finite S a NonFiniteError.
+    the block iteration (_certified_ritz, from the fixed-seed start block,
+    run when m >= TOP_K_MIN_WIDTHS * (k + BLOCK_OVERSAMPLE)) certifies k
+    positive values, so that the k of largest |lambda| are also the
+    algebraic top k; otherwise all m of them from one full eigh (for
+    example below that size, on a tie at k, or when the largest |lambda|
+    is negative). In both cases the largest |value| returned is the
+    largest |lambda| of S. A non-integer k is a DataError, a non-finite S
+    a NonFiniteError.
     """
     sym = _as_symmetric(S, k)
-    found = certified_top_k(sym.__matmul__, sym.shape[0], k)
-    if found is not None:
-        return found
+    block = _start_block(sym.shape[0], k, TOP_K_MIN_WIDTHS)
+    ritz = None if block is None else _certified_ritz(sym.__matmul__, k, block, positive=True)
+    if ritz is not None and np.all(ritz[0][:k] > 0):
+        return fix_signs(ritz[1][:, :k]), ritz[0][:k]
     vals, vecs = np.linalg.eigh(sym)
     order = np.argsort(vals)[::-1]
     return fix_signs(vecs[:, order[:k]]), vals[order]
-
-
-def certified_top_k(product, m: int, k: int) -> tuple[np.ndarray, np.ndarray] | None:
-    """The top k of an m x m symmetric S given as its product V -> S V, from the block iteration.
-
-    The block iteration (_certified_ritz, from the fixed-seed start block)
-    runs when m >= TOP_K_MIN_WIDTHS * (k + BLOCK_OVERSAMPLE). Returns the
-    sign-normalized eigenvectors and the k values only when it certifies
-    k positive values, so that the k of largest |lambda| are also the
-    algebraic top k; None otherwise.
-    """
-    block = _start_block(m, k, TOP_K_MIN_WIDTHS)
-    ritz = None if block is None else _certified_ritz(product, k, block, positive=True)
-    if ritz is None or not np.all(ritz[0][:k] > 0):
-        return None
-    return fix_signs(ritz[1][:, :k]), ritz[0][:k]
 
 
 def hetero_pca(S, k: int, n_iter: int, operator=None) -> np.ndarray:

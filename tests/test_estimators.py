@@ -21,6 +21,7 @@ from deconfound import bench, estimators, regress, spectral
 from deconfound.bench import ExperimentGrid, run_grid, select_k_hat, sse_log
 from deconfound.model import (
     METHODS,
+    ORTHONORMAL_TOL,
     Dataset,
     GroundTruth,
     ProjectionBasis,
@@ -548,7 +549,7 @@ class TestRowSpaceCore:
     def test_known_k_homo_fit_decomposes_no_m_by_m_matrix(self, monkeypatch):
         ds, _ = generate(SimulationConfig(n=40, m=60, p=2, k=3, seed=22))
         shapes = []
-        eigh, contract = np.linalg.eigh, regress._contract_outer_products
+        eigh, contract, qr = np.linalg.eigh, regress._contract_outer_products, np.linalg.qr
 
         def recording_eigh(a, *args, **kwargs):
             shapes.append(("eigh", np.shape(a)))
@@ -561,8 +562,10 @@ class TestRowSpaceCore:
 
         monkeypatch.setattr(np.linalg, "eigh", recording_eigh)
         monkeypatch.setattr(regress, "_contract_outer_products", recording_contract)
+        monkeypatch.setattr(np.linalg, "qr", lambda a, *args: shapes.append(("qr", np.shape(a))) or qr(a, *args))
         fit_method(ds, "interaction_homo", k=3)
-        assert len(shapes) == 6 and all(shape == (40, 40) for _, shape in shapes)
+        # no QR; one eigh of the n x n Gram, then three r x r cores, r = n - q = 35, and one eigh of each
+        assert shapes == [("eigh", (40, 40))] + [("surface", (35, 35))] * 3 + [("eigh", (35, 35))] * 3
 
     def test_known_k_fits_at_n_above_m_decompose_no_m_by_m_matrix(self, monkeypatch, stress_dataset):
         # at m=500, n=1000 every top-k block and every HeteroPCA step is
@@ -583,8 +586,8 @@ class TestRowSpaceCore:
         assert shapes["eigvalsh"] == [(500, 500)] * 4 and (500, 500) not in shapes["eigh"]
 
     def test_certified_cores_match_the_surfaces(self, monkeypatch):
-        # n = 250 cores are above the size rule at k = 3: their top k are
-        # certified Ritz vectors, and the positivity check reads theta_k / theta_1
+        # r = n - q = 245 cores are above the size rule at k = 3: their top k
+        # are certified Ritz vectors, and the positivity check reads theta_k / theta_1
         ds, _ = generate(SimulationConfig(n=250, m=400, p=2, k=3, seed=26))
         references = []
         for surface in self._surfaces(ds):
@@ -610,9 +613,10 @@ class TestRowSpaceCore:
         monkeypatch.setattr(np.linalg, "eigh", recording_eigh)
         monkeypatch.setattr(regress, "_contract_outer_products", recording_contract)
         fit_method(ds, "interaction_homo", k=3)
-        # three 250 x 250 cores, no m x m surface, and only the small Rayleigh-Ritz eighs
-        assert [shape for kind, shape in shapes if kind == "surface"] == [(250, 250)] * 3
-        assert all(shape[0] < ds.n for kind, shape in shapes if kind == "eigh")
+        # three 245 x 245 cores, no m x m surface, one eigh of the n x n Gram and only the small Rayleigh-Ritz eighs
+        assert [shape for kind, shape in shapes if kind == "surface"] == [(245, 245)] * 3
+        eighs = [shape for kind, shape in shapes if kind == "eigh"]
+        assert eighs[0] == (ds.n, ds.n) and all(shape[0] < 245 for shape in eighs[1:])
         assert all(sin_theta(block, reference) <= 1e-10 for block, reference in zip(blocks, references, strict=True))
 
     def test_near_overflow_surfaces_are_certified_without_warnings(self, monkeypatch, stress_dataset):
@@ -657,7 +661,7 @@ class TestRowSpaceCore:
 
         monkeypatch.setattr(regress, "_contract_outer_products", recording_contract)
         fit_method(ds, "interaction_hetero", k=3)
-        assert shapes.count((60, 60)) == 1 and shapes.count((40, 40)) == 3
+        assert shapes.count((60, 60)) == 1 and shapes.count((35, 35)) == 3
 
     @pytest.mark.parametrize("p", [2, 3])
     def test_selector_spectra_stay_those_of_the_m_by_m_surfaces(self, p):
@@ -676,9 +680,9 @@ class TestRowSpaceCore:
             return first(*args)
 
         def tracked_cores(eps, *args):
-            # the n x n cores come from the n x n R^T; the m x m surfaces from the n x m residuals
+            # the r x r cores come from the n x r factor F, r = n - q = 35; the m x m surfaces from the n x m residuals
             surfaces = diagonal(eps, *args)
-            if eps.shape == (ds.n, ds.n):
+            if eps.shape == (ds.n, 35):
                 refs.extend(weakref.ref(core) for core in surfaces)
             return surfaces
 
@@ -699,6 +703,54 @@ class TestRowSpaceCore:
             gc.enable()
         assert all(k_used == 3 for _, k_used in outcomes[2:])
 
+    @pytest.mark.parametrize("noise, alpha", [("homoscedastic", 0.0), ("heteroscedastic", 6.0)])
+    def test_s2_blocks_from_the_gram_match_the_surfaces(self, noise, alpha):
+        for seed in range(4):
+            ds, _ = generate(SimulationConfig(n=100, m=500, p=2, k=3, noise=noise, alpha=alpha, seed=seed))
+            with closing(Stage(ds)) as stage:
+                for family, names in stage.names.items():
+                    assert stage._cores(family) is not None
+                    for i in range(len(names)):
+                        block = stage.top_k(family, i, 3)
+                        assert sin_theta(block, top_k_eigenvectors(stage.surface(family, i), 3)[0]) <= 1e-10
+                        if family == "non_interaction":
+                            assert np.max(np.abs(block.T @ block - np.eye(3))) <= ORTHONORMAL_TOL
+
+    def test_near_low_rank_residuals_take_the_surface_path(self):
+        # a rank-20 signal plus 1e-4 noise puts the residuals' Gram eigenvalues
+        # 21 and on near 1e-11 lambda_1: neither kept nor at round-off
+        x = generate(SimulationConfig(n=100, m=500, p=2, k=3, seed=0))[0].X
+        rng = np.random.default_rng(1)
+        y = rng.standard_normal((100, 20)) @ rng.standard_normal((20, 500)) + 1e-4 * rng.standard_normal((100, 500))
+        with closing(Stage(Dataset(X=x, Y=y))) as stage:
+            for family, names in stage.names.items():
+                assert stage._cores(family) is None
+                for i in range(len(names)):
+                    reference = top_k_eigenvectors(stage.surface(family, i), 3)[0]
+                    assert np.array_equal(stage.top_k(family, i, 3), reference)
+
+    def test_k_above_the_kept_count_decomposes_no_core(self, monkeypatch):
+        # r = n - p = 38 kept Gram pairs for the mean outer product: k = 39 takes the surface before any core eigh
+        ds, _ = generate(SimulationConfig(n=40, m=60, p=2, k=3, seed=21))
+        shapes = []
+        top_k = spectral.top_k_eigenvectors
+        monkeypatch.setattr(spectral, "top_k_eigenvectors", lambda a, k: shapes.append(np.shape(a)) or top_k(a, k))
+        with closing(Stage(ds)) as stage:
+            assert stage._cores("non_interaction")[0].shape == (40, 38)
+            got = stage.top_k("non_interaction", 0, 39)
+            assert shapes == [(60, 60)] and np.array_equal(got, top_k(self._mean(ds), 39)[0])
+
+    def test_a_gram_that_is_not_finite_or_normal_takes_the_surface_path(self):
+        ds, _ = generate(SimulationConfig(n=20, m=40, p=2, k=1, seed=3))
+        with np.errstate(over="ignore", invalid="ignore"), closing(Stage(Dataset(X=ds.X, Y=ds.Y * 1e160))) as stage:
+            for family, names in stage.names.items():
+                assert stage._cores(family) is None
+                with pytest.raises(NonFiniteError, match=rf"^step 3 \(covariance regression\): {re.escape(names[-1])} has"):
+                    stage.top_k(family, len(names) - 1, 1)
+        # lambda_1 = 0 is not a normal number
+        with closing(Stage(Dataset(X=ds.X, Y=np.zeros((20, 40))))) as stage:
+            assert stage._cores("interaction") is None and stage._cores("non_interaction") is None
+
 
 class TestOperatorPath:
     """At n < m above the size rule, HeteroPCA and the non-interaction top-k block run on V -> eps^T (w o (eps V))."""
@@ -710,18 +762,9 @@ class TestOperatorPath:
 
     @staticmethod
     def _outcomes(monkeypatch) -> list:
-        """Whether each operator-form call (certified_top_k, hetero_pca with an operator) certified, in call order.
-
-        A HeteroPCA chain is certified when it never builds its m x m surface.
-        """
+        """Whether each HeteroPCA call with an operator certified, in call order: it never built its m x m surface."""
         outcomes = []
-        top_k, hetero = spectral.certified_top_k, spectral.hetero_pca
-
-        def recording_top_k(product, m, k):
-            result = top_k(product, m, k)
-            if not isinstance(getattr(product, "__self__", None), np.ndarray):  # not top_k_eigenvectors' own call
-                outcomes.append(result is not None)
-            return result
+        hetero = spectral.hetero_pca
 
         def recording_hetero(S, k, n_iter, operator=None):
             if operator is None:
@@ -731,7 +774,6 @@ class TestOperatorPath:
             outcomes.append(not built)
             return result
 
-        monkeypatch.setattr(spectral, "certified_top_k", recording_top_k)
         monkeypatch.setattr(spectral, "hetero_pca", recording_hetero)
         return outcomes
 
@@ -757,7 +799,7 @@ class TestOperatorPath:
         fit_method(dataset, "interaction_hetero", k=3, n_iter=n_iter)
         fit_method(dataset, "non_interaction_homo", k=3)
         fit_method(dataset, "non_interaction_hetero", k=3, n_iter=n_iter)
-        assert outcomes == [True, True, True]
+        assert outcomes == [True, True]
         assert sin_theta(blocks[0], hetero_pca(phi_b, 3, n_iter)) <= 1e-10
         assert sin_theta(bases[1], top_k_eigenvectors(mean, 3)[0]) <= 1e-10
         assert sin_theta(bases[2], hetero_pca(mean, 3, n_iter)) <= 1e-10
@@ -779,20 +821,22 @@ class TestOperatorPath:
         monkeypatch.setattr(np.linalg, "eigh", recording(eighs, eigh))
         for method in ("non_interaction_homo", "non_interaction_hetero"):
             fit_method(dataset, method, k=3)
-        # no surface or core; every QR is of an m x (k + 10) block, every eigh a Rayleigh-Ritz one
-        assert not surfaces and set(qrs) == {(240, 13)} and set(eighs) == {(13, 13)}
+        # no surface; the homo block is the r x r core's (r = n - p = 58), from one eigh of the n x n Gram;
+        # every QR is of HeteroPCA's m x (k + 10) block, and every other eigh a Rayleigh-Ritz one
+        assert surfaces == [(58, 58)] and set(qrs) == {(240, 13)}
+        assert eighs.count((60, 60)) == 1 and set(eighs) == {(60, 60), (58, 58), (13, 13)}
         surfaces.clear()
         qrs.clear()
         fit_method(dataset, "interaction_hetero", k=3)
-        # phi_B's HeteroPCA reads no surface; the phi_C(j) blocks come from the n x n cores
-        assert surfaces == [(60, 60)] * 3 and set(qrs) == {(240, 13), (240, 60)}
+        # phi_B's HeteroPCA reads no surface; the phi_C(j) blocks come from the r x r cores, r = n - q = 55
+        assert surfaces == [(55, 55)] * 3 and set(qrs) == {(240, 13)}
 
     def test_refused_operator_runs_todays_path_bitwise(self, monkeypatch, dataset):
         # one sweep certifies no block, so every operator-form call returns None
         monkeypatch.setattr(spectral, "BLOCK_MAX_SWEEPS", 1)
         outcomes = self._outcomes(monkeypatch)
         got = {method: fit_method(dataset, method, k=3).theta for method in K_READING_METHODS}
-        assert outcomes == [False, False, False]
+        assert outcomes == [False, False]
         monkeypatch.setattr(estimators.Stage, "_operator", lambda *args: None)
         for method, theta in got.items():
             assert np.array_equal(theta, fit_method(dataset, method, k=3).theta)
@@ -844,7 +888,7 @@ class TestOperatorPath:
                 warnings.simplefilter("error")
                 got = np.ldexp(fit_method(scaled, method, k=3).theta, -490)
             assert np.linalg.norm(got - theta[method]) <= 1e-10 * np.linalg.norm(theta[method])
-        assert outcomes == [True, True, True]
+        assert outcomes == [True, True]
 
 
 class TestRefusedBlocks:

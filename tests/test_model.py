@@ -37,6 +37,11 @@ class TestDataset:
         with pytest.raises(NonFiniteError):
             Dataset(X=x, Y=np.zeros((2, 1)))
 
+    @pytest.mark.parametrize("p, m", [(0, 4), (2, 0), (0, 0)])
+    def test_zero_columns_rejected(self, p, m):
+        with pytest.raises(DataError, match=f"^dataset needs at least one covariate and one response: p = {p}, m = {m}$"):
+            Dataset(X=np.zeros((3, p)), Y=np.ones((3, m)))
+
     def test_immutable(self):
         ds = Dataset(X=np.zeros((3, 2)), Y=np.ones((3, 4)))
         with pytest.raises(ValueError):

@@ -9,9 +9,15 @@ both rank selectors with the default k_star, each through its public
 single-method entry point. It then runs the shared per-dataset path:
 one `run_grid` bundle of all six methods with K known, one with K
 selected, and one 3-fold `cross_validate` of the five non-oracle methods
-with K known. The datasets cover S1 (m=25, n=1000), S2 (m=500, n=100)
-and the stress point (m=500, n=1000), each under homoscedastic and
-alpha=6 heteroscedastic noise, on a fixed seed list.
+with K known. The datasets cover S1 (m=25, n=1000), S2 (m=500, n=100),
+the stress point (m=500, n=1000) and m=400, n=250, where the n < m
+cores are above the block iteration's size rule, each under
+homoscedastic and alpha=6 heteroscedastic noise, on a fixed seed list.
+
+One more S2-shaped dataset, the simulated X with a rank-20 signal plus
+1e-4 noise as Y, puts the residuals' Gram eigenvalues 21 and on near
+1e-11 of the largest, so the n < m cores are refused there. All six
+methods are fitted on it with K known, and both rank selectors run.
 
 Each S2 dataset also gets one interaction_homo fit at K = 40, above
 every phi_C(j)'s 25-35 eigenvalues above round-off there, so top-k
@@ -72,7 +78,12 @@ import numpy as np
 
 BASIS_BOUND = 1e-10
 THETA_BOUND = 1e-8
-SETTINGS = {"S1": (25, 1000, range(6)), "S2": (500, 100, range(6)), "stress": (500, 1000, range(3))}
+SETTINGS = {
+    "S1": (25, 1000, range(6)),
+    "S2": (500, 100, range(6)),
+    "stress": (500, 1000, range(3)),
+    "m400 n250": (400, 250, range(1)),
+}
 NOISES = {"homo": ("homoscedastic", 0.0), "alpha6": ("heteroscedastic", 6.0)}
 METHODS = ("ols", "oracle", "interaction_homo", "interaction_hetero", "non_interaction_homo", "non_interaction_hetero")
 SELECTORS = ("interaction", "non_interaction")
@@ -95,6 +106,11 @@ FAILING = {
     "X x 1e160": lambda x: 1e160 * x,
 }
 FAILING_CONFIG = {"n": 60, "m": 8, "p": 2, "k": 2, "seed": 0}
+#: The near-low-rank dataset: X and truth drawn from NEAR_LOW_RANK_CONFIG, Y a signal of rank NEAR_LOW_RANK_Y["rank"]
+#: plus NEAR_LOW_RANK_Y["noise"] times Gaussian noise, both from NEAR_LOW_RANK_Y["seed"].
+NEAR_LOW_RANK = "near low rank/S2 seed 0"
+NEAR_LOW_RANK_CONFIG = {"n": 100, "m": 500, "p": 2, "k": 3, "seed": 0}
+NEAR_LOW_RANK_Y = {"rank": 20, "noise": 1e-4, "seed": 1}
 #: Test-split rows of each bundle: enough for the metrics, cheap at m = 500.
 N_STAR = 1000
 ONE_THREAD = {name: "1" for name in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")}
@@ -140,6 +156,21 @@ def run_tree(src: str, out_path: str) -> None:
     def cv_rows(report):
         return [(f"fold {r.fold} {r.method}", r.k_used, r.error, r.pmse_log) for r in report.records]
 
+    def fit_singles(case, dataset, truth):
+        """All six methods with K = 3 and both selectors with the default k_star, each on its own."""
+        for method in METHODS:
+            captured.clear()
+            try:
+                estimators.fit_method(dataset, method, k=3, truth=truth)
+                results[(case, method)] = captured[-1]
+            except (DeconfoundError, np.linalg.LinAlgError) as err:
+                results[(case, method)] = type(err).__name__
+        for selector in SELECTORS:
+            try:
+                results[(case, selector)] = bench.select_k_hat(dataset, selector, spectral.default_k_star(dataset.n, dataset.m))
+            except (DeconfoundError, np.linalg.LinAlgError) as err:
+                results[(case, selector)] = type(err).__name__
+
     regress.fit_projected_ols = capture_basis
     spectral.build_projection = capture_blocks
     results = {}
@@ -153,6 +184,11 @@ def run_tree(src: str, out_path: str) -> None:
                 results[(f"failing/{name}", method)] = "ok"
             except (DeconfoundError, np.linalg.LinAlgError) as err:
                 results[(f"failing/{name}", method)] = (type(err).__name__, str(err))
+    base, truth = generate(SimulationConfig(**NEAR_LOW_RANK_CONFIG))
+    rank, rng = NEAR_LOW_RANK_Y["rank"], np.random.default_rng(NEAR_LOW_RANK_Y["seed"])
+    signal = rng.standard_normal((base.n, rank)) @ rng.standard_normal((rank, base.m))
+    dataset = Dataset(X=base.X, Y=signal + NEAR_LOW_RANK_Y["noise"] * rng.standard_normal((base.n, base.m)))
+    fit_singles(NEAR_LOW_RANK, dataset, truth)
     for setting, (m, n, seeds) in SETTINGS.items():
         for noise_name, (noise, alpha) in NOISES.items():
             for seed in seeds:
@@ -169,13 +205,7 @@ def run_tree(src: str, out_path: str) -> None:
                 eps = regress.fit_first_stage(dataset).residuals
                 surfaces = regress.fit_diagonal_surfaces(eps, regress.diagonal_weights(dataset.X), list(range(dataset.p + 1)))
                 results[(case, SURFACES)] = hashlib.sha256(b"".join(s.tobytes() for s in surfaces)).hexdigest()
-                for method in METHODS:
-                    captured.clear()
-                    try:
-                        estimators.fit_method(dataset, method, k=3, truth=truth)
-                        results[(case, method)] = captured[-1]
-                    except (DeconfoundError, np.linalg.LinAlgError) as err:
-                        results[(case, method)] = type(err).__name__
+                fit_singles(case, dataset, truth)
                 if setting == "S2":
                     for what, (method, k) in NULL_SPACE_FITS.items():
                         blocks.clear()
@@ -194,12 +224,6 @@ def run_tree(src: str, out_path: str) -> None:
                             results[(case, what)] = captured[-1]
                         except (DeconfoundError, np.linalg.LinAlgError) as err:
                             results[(case, what)] = type(err).__name__
-                k_star = spectral.default_k_star(n, m)
-                for selector in SELECTORS:
-                    try:
-                        results[(case, selector)] = bench.select_k_hat(dataset, selector, k_star)
-                    except (DeconfoundError, np.linalg.LinAlgError) as err:
-                        results[(case, selector)] = type(err).__name__
                 for policy in ("known", "selected"):
                     grid = bench.ExperimentGrid(
                         base=config, sweep_param="eta_dep", sweep_values=(config.eta_dep,),
