@@ -16,21 +16,26 @@ DEGENERACY_RTOL = 1e-8
 
 #: Columns the block iteration carries beyond the k it returns.
 BLOCK_OVERSAMPLE = 10
+#: Operator products the block iteration takes per orthonormalization and Rayleigh-Ritz step.
+BLOCK_POWER = 3
 #: Smallest m, in block widths k + BLOCK_OVERSAMPLE, at which HeteroPCA's block iteration replaces eigh
-#: (it breaks even with a 5-step eigh loop at about 7 widths for k = 1 and 3, and 9 for k = 5).
+#: (it breaks even with a 5-step eigh loop below 6 widths for k = 3 and near 7 for k = 1 and 5; at 8 it takes
+#: 0.54-0.60, 0.56-0.58 and 0.79-1.35 of the loop's time on n = 1000, alpha 6 phi_B surfaces).
 BLOCK_MIN_WIDTHS = 8
 #: The same size rule for one top-k block (top_k_eigenvectors), which starts cold and replaces one
 #: eigh, not a loop of them. Its time over one eigh's on n = 1000 interaction surfaces of true rank
-#: k = 1, 3, 5, all certified (2 vCPUs, OpenBLAS 0.3.31, 2 threads; per-k table in CHANGES.md):
-#: 0.01-1.58 at 8 widths, 0.48-0.79 at 12, 0.33-0.55 at 16, 0.19-0.46 at 20. Break-even is near
-#: 10 widths; 16 leaves room for a refused block, which stops at about 1.1-1.2x one eigh at m = 500.
+#: k = 1, 3, 5, all certified (2 vCPUs, OpenBLAS 0.3.31, 2 threads): 0.51-0.74 at 8 widths,
+#: 0.31-0.42 at 12, 0.22-0.35 at 16, 0.18-0.34 at 20. Break-even is below 8 widths; 16 leaves room
+#: for a refused block, which stops at about 1.1-1.2x one eigh at m = 500.
 TOP_K_MIN_WIDTHS = 16
 #: Davis-Kahan sin-theta bound a block step must certify to be accepted.
 BLOCK_TOL = 1e-12
-#: Sweeps a block may take before it falls back to eigh.
+#: Residual over |theta_1| (16 eps) below which a step takes one product: a^3's round-off, ~3x a's, stalls some blocks.
+BLOCK_POWER_RTOL = 2.0**-48
+#: Operator products a block may take before it falls back to eigh.
 BLOCK_MAX_SWEEPS = 60
-#: Sweeps over which a block's relative residual must halve; one that does not is refused at once.
-BLOCK_STALL_SWEEPS = 4
+#: Operator products over which a block's relative residual must halve; one that does not is refused at once.
+BLOCK_STALL_SWEEPS = 3
 
 
 @dataclass(frozen=True)
@@ -93,14 +98,14 @@ def top_k_eigenvectors(S: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
 
     The input is symmetrized first. Returns the m x k eigenvector matrix
     (sign-normalized) and the eigenvalues nonincreasing: the top k when
-    the block iteration (_certified_ritz, from the fixed-seed start block,
-    run when m >= TOP_K_MIN_WIDTHS * (k + BLOCK_OVERSAMPLE)) certifies k
-    positive values, so that the k of largest |lambda| are also the
-    algebraic top k; otherwise all m of them from one full eigh (for
-    example below that size, on a tie at k, or when the largest |lambda|
-    is negative). In both cases the largest |value| returned is the
-    largest |lambda| of S. A non-integer k is a DataError, a non-finite S
-    a NonFiniteError.
+    the block iteration (_certified_ritz: BLOCK_POWER products of S per
+    Rayleigh-Ritz step from the fixed-seed start block, run when m >=
+    TOP_K_MIN_WIDTHS * (k + BLOCK_OVERSAMPLE)) certifies k positive
+    values, so that the k of largest |lambda| are also the algebraic top
+    k; otherwise all m of them from one full eigh (for example below that
+    size, on a tie at k, or when the largest |lambda| is negative). In
+    both cases the largest |value| returned is the largest |lambda| of S.
+    A non-integer k is a DataError, a non-finite S a NonFiniteError.
     """
     sym = _as_symmetric(S, k)
     block = _start_block(sym.shape[0], k, TOP_K_MIN_WIDTHS)
@@ -127,12 +132,13 @@ def hetero_pca(S, k: int, n_iter: int, operator=None) -> np.ndarray:
     S is the m x m matrix, or, with operator = (V -> S V, diag S), a
     function that returns it. With diagonal d, the iterate is V -> S V +
     (d - diag S) o V. When m >= BLOCK_MIN_WIDTHS * (k + BLOCK_OVERSAMPLE),
-    each step's top k come from the block iteration (_certified_ritz)
-    on that product, started from a fixed-seed block and then from the
-    previous step's Ritz block. From the first step it does not certify
-    (it cannot on a tie |lambda_k| = |lambda_k+1|), or from step 0 below
-    that size, the m x m iterate is built once, with the current d on its
-    diagonal, and every step is one full eigh of it, ordered by |lambda|.
+    each step's top k come from the block iteration (_certified_ritz,
+    BLOCK_POWER products per Rayleigh-Ritz step) on that product, started
+    from a fixed-seed block and then from the previous step's Ritz block.
+    From the first step it does not certify (it cannot on a tie |lambda_k|
+    = |lambda_k+1|), or from step 0 below that size, the m x m iterate is
+    built once, with the current d on its diagonal, and every step is one
+    full eigh of it, ordered by |lambda|.
     """
     if operator is None:
         current = _as_symmetric(S, k)
@@ -181,24 +187,26 @@ def _start_block(m: int, k: int, min_widths: int) -> np.ndarray | None:
 def _certified_ritz(apply, k: int, block: np.ndarray, positive: bool = False) -> tuple[np.ndarray, np.ndarray] | None:
     """Ritz pairs of a symmetric a, given as apply(V) = a @ V, from subspace iteration on the orthonormal block, by |theta| descending.
 
-    Each sweep takes one product a @ block and the eigh of the small
-    block^T a block. It returns the Ritz values and vectors U once the top
-    k satisfy ||a U_k - U_k Theta_k||_F <= BLOCK_TOL * (|theta_k| -
+    Each Rayleigh-Ritz step takes one product a @ block and the eigh of the
+    small block^T a block. It returns the Ritz values and vectors U once
+    the top k satisfy ||a U_k - U_k Theta_k||_F <= BLOCK_TOL * (|theta_k| -
     |theta_k+1|), which bounds their sin-theta to the exact top-k
     eigenspace (Davis-Kahan); otherwise the next block is the orthonormal
-    basis of a @ block. Both sides of that test are scaled by 2^-e, with
-    2^e the power of two just above |theta_1|: that is exact, and keeps
-    the squares inside the norm from overflowing on a finite a near the
-    top of the double range. None after BLOCK_MAX_SWEEPS sweeps; at once
-    when a product or a Ritz value is not finite, or when theta_1 = 0; once
-    that residual over |theta_1| has not halved in BLOCK_STALL_SWEEPS
-    sweeps; and, if positive (the caller takes only positive values), once
-    it is below half the gap with a negative theta among the top k: that
-    top-k space is resolved.
+    basis of a^BLOCK_POWER @ block (of a @ block once that residual over
+    |theta_1| is at most BLOCK_POWER_RTOL), each extra product taken of the
+    previous one times 2^-e. Both sides of the test are scaled by that
+    2^-e, with 2^e the power of two just above |theta_1|: that is exact,
+    and keeps the norm's squares and the products from overflowing on a
+    finite a near the top of the double range. None after BLOCK_MAX_SWEEPS
+    products; at once when a product or a Ritz value is not finite, or when
+    theta_1 = 0; once that relative residual has not halved over
+    BLOCK_STALL_SWEEPS products; and, if positive (the caller takes only
+    positive values), once it is below half the gap with a negative theta
+    among the top k: that top-k space is resolved.
     """
-    relative = []
+    relative = []  # the residual over |theta_1| before each product taken
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        for sweep in range(BLOCK_MAX_SWEEPS):
+        while len(relative) < BLOCK_MAX_SWEEPS:
             product = apply(block)
             small = block.T @ product
             small = (small + small.T) / 2.0
@@ -209,19 +217,21 @@ def _certified_ritz(apply, k: int, block: np.ndarray, positive: bool = False) ->
             theta, y = theta[order], y[:, order]
             if theta[0] == 0:  # the stall rule's residual over |theta_1| would be 0 / 0
                 return None
-            ritz = block @ y
             gap = abs(theta[k - 1]) - abs(theta[k])
             e = math.frexp(theta[0])[1]
             scaled = np.ldexp(theta[:k], -e)
-            residual = np.ldexp(product @ y[:, :k], -e) - ritz[:, :k] * scaled
+            residual = np.ldexp(product @ y[:, :k], -e) - (block @ y[:, :k]) * scaled
             norm = np.linalg.norm(residual)
             if gap > 0 and norm <= math.ldexp(BLOCK_TOL * gap, -e):
-                return theta, ritz
+                return theta, block @ y
             relative.append(norm / abs(scaled[0]))
-            if sweep >= BLOCK_STALL_SWEEPS and relative[-1] > relative[-1 - BLOCK_STALL_SWEEPS] / 2:
+            if len(relative) > BLOCK_STALL_SWEEPS and relative[-1] > relative[-1 - BLOCK_STALL_SWEEPS] / 2:
                 return None
             if positive and norm <= math.ldexp(gap / 2, -e) and np.any(theta[:k] < 0):
                 return None
+            for _ in range(BLOCK_POWER - 1 if relative[-1] > BLOCK_POWER_RTOL else 0):
+                relative.append(relative[-1])
+                product = apply(np.ldexp(product, -e))
             block = np.linalg.qr(product)[0]
     return None
 

@@ -645,7 +645,7 @@ class TestRowSpaceCore:
                 warnings.simplefilter("error")
                 got = np.ldexp(fit_method(scaled, method, k=3).theta, -490)
             assert np.linalg.norm(got - theta[method]) <= 1e-10 * np.linalg.norm(theta[method])
-        # a block certified at sweep s took s products and s - 1 QRs
+        # a block certified at Rayleigh-Ritz step s took s - 1 QRs and at most 1 + BLOCK_POWER * (s - 1) products
         assert calls and all(certified and qrs + 1 < spectral.BLOCK_MAX_SWEEPS for qrs, certified in calls)
 
     def test_known_k_hetero_fit_builds_only_phi_b_by_m(self, monkeypatch):
@@ -892,7 +892,7 @@ class TestOperatorPath:
 
 
 class TestRefusedBlocks:
-    @pytest.mark.parametrize("k", [5, 6])
+    @pytest.mark.parametrize("k", [5, 6, 7, 8])
     def test_a_refused_block_stops_early(self, monkeypatch, stress_dataset, k):
         # the top k by |lambda| of each interaction surface hold a negative
         # eigenvalue, so no block is accepted; each used to run 10 to 52 products first
@@ -918,6 +918,86 @@ class TestRefusedBlocks:
             assert np.array_equal(vals, all_vals[order])
             assert np.array_equal(vecs, spectral.fix_signs(all_vecs[:, order[:k]]))
         assert len(products) == 3 and max(products) <= 5
+
+
+def _s2_dataset(seed: int, noise: str) -> Dataset:
+    """Setting 2 (m=500, n=100) with K = 3, homoscedastic or alpha-6 heteroscedastic."""
+    alpha = 6.0 if noise == "heteroscedastic" else 0.0
+    return generate(SimulationConfig(n=100, m=500, p=2, k=3, noise=noise, alpha=alpha, seed=seed))[0]
+
+
+class TestCertifiedBlocks:
+    """Every block _certified_ritz accepts during a K-known fit meets its Davis-Kahan certificate."""
+
+    @pytest.mark.parametrize(
+        "case",
+        ["S2 homo 0", "S2 homo 1", "S2 hetero 0", "S2 hetero 1", "n60 m240", "stress"],
+    )
+    def test_accepted_blocks_meet_the_certificate(self, monkeypatch, stress_dataset, case):
+        if case == "stress":
+            ds = stress_dataset
+        elif case == "n60 m240":
+            ds = generate(SimulationConfig(n=60, m=240, p=2, k=3, noise="heteroscedastic", alpha=6.0, seed=27))[0]
+        else:
+            _, noise, seed = case.split()
+            ds = _s2_dataset(int(seed), "homoscedastic" if noise == "homo" else "heteroscedastic")
+        calls, ratios = [], []
+        ritz = spectral._certified_ritz
+
+        def audited_ritz(apply, k, block, positive=False):
+            result = ritz(apply, k, block, positive)
+            calls.append(result is not None)
+            if result is not None:
+                # recomputed from the returned Ritz pairs, not from the products the iteration took
+                theta, u = result[0], result[1][:, :k]
+                residual = np.linalg.norm(apply(u) - u * theta[:k])
+                ratios.append(residual / (spectral.BLOCK_TOL * (abs(theta[k - 1]) - abs(theta[k]))))
+            return result
+
+        monkeypatch.setattr(spectral, "_certified_ritz", audited_ritz)
+        for method in K_READING_METHODS:
+            fit_method(ds, method, k=3)
+        assert calls and all(calls)
+        assert max(ratios) <= 1.1
+
+
+class TestRayleighRitzWork:
+    """Rayleigh-Ritz steps (the k + 10 square eighs) and operator products of the block iterations in one fit.
+
+    With one product per step (and a stall window of 4 steps) these fits took
+    as many steps as products: S2 alpha 6 seed 0 non_interaction_hetero 47,
+    interaction_hetero 53; seed 1 45 and 54; the stress dataset's
+    interaction_homo 24. At three products per step they take 21-24 steps
+    (51-60 products) and 12 (30).
+    """
+
+    ONE_PRODUCT_STEPS = {
+        ("non_interaction_hetero", 0): 47,
+        ("interaction_hetero", 0): 53,
+        ("non_interaction_hetero", 1): 45,
+        ("interaction_hetero", 1): 54,
+        ("interaction_homo", "stress"): 24,
+    }
+
+    @pytest.mark.parametrize("method, seed", list(ONE_PRODUCT_STEPS))
+    def test_fewer_steps_for_few_more_products(self, monkeypatch, stress_dataset, method, seed):
+        ds = stress_dataset if seed == "stress" else _s2_dataset(seed, "heteroscedastic")
+        steps, products = [], []
+        eigh, ritz = np.linalg.eigh, spectral._certified_ritz
+
+        def counted_eigh(a, *args, **kwargs):
+            steps.append(np.shape(a) == (3 + spectral.BLOCK_OVERSAMPLE,) * 2)
+            return eigh(a, *args, **kwargs)
+
+        def counted_ritz(apply, *args, **kwargs):
+            return ritz(lambda v: products.append(1) or apply(v), *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "eigh", counted_eigh)
+        monkeypatch.setattr(spectral, "_certified_ritz", counted_ritz)
+        fit_method(ds, method, k=3)
+        before = self.ONE_PRODUCT_STEPS[method, seed]
+        assert sum(steps) <= 0.6 * before
+        assert len(products) <= 1.3 * before
 
 
 class TestDefaults:

@@ -430,6 +430,32 @@ class TestTopKBlockIteration:
         assert sin_theta(*bases) <= 1e-10
 
 
+class TestDecayingSpectra:
+    """Blocks whose top eigenvalues fall by decades, so that |theta_1| / gap reaches 1e3-1e4.
+
+    Near the round-off floor of the certificate a^3 @ block carries about 3x
+    the error of a @ block; taking three products per step there refused
+    the top-k blocks of (1e4, 300, 10) at seeds 0 and 3 and of (3e4, 1e3, 30)
+    at seed 3, which one product per step certifies.
+    """
+
+    @pytest.mark.parametrize("seed", [0, 1, 3])
+    @pytest.mark.parametrize("eigenvalues", [[400.0, 40.0, 4.0], [1e4, 300.0, 10.0], [3e4, 1e3, 30.0]])
+    def test_certified_as_with_one_product_per_step(self, monkeypatch, eigenvalues, seed):
+        m, k = 500, 3
+        rng = np.random.default_rng(seed)
+        u = random_orthonormal(rng, m, k)
+        noise = 0.01 * rng.standard_normal((m, m))
+        s = u @ np.diag(eigenvalues) @ u.T + np.diag(rng.uniform(0.0, 3.0, m)) + noise + noise.T
+        shapes = _recording_eigh(monkeypatch)
+        got, _ = top_k_eigenvectors(s, k)
+        basis = hetero_pca(s, k, 5)
+        assert shapes and all(shape[0] < m for shape in shapes)  # every block and step was certified
+        monkeypatch.undo()
+        assert sin_theta(got, _top_k_eigh_reference(s, k)[0]) <= 1e-10
+        assert sin_theta(basis, _hetero_pca_eigh_reference(s, k, 5)) <= 1e-10
+
+
 class TestArgumentChecks:
     """The public step-4 functions reject bad arguments with a DeconfoundError."""
 
